@@ -69,17 +69,34 @@ def _kmeanspp_init(F, k, rng):
 
 def _repair_empty(F, centers, labels, d2, k):
     """Empty-cluster repair: the farthest point from its centroid (among
-    clusters that can spare one) becomes a singleton centroid."""
-    for j in range(k):
-        if np.any(labels == j):
-            continue
-        sizes = np.bincount(labels, minlength=k)
-        donors = sizes[labels] >= 2
-        candidates = np.flatnonzero(donors)
+    clusters that can spare one) becomes a singleton centroid.
+
+    Donors keep at least one member, so a repair never empties another
+    cluster and the empty ones can be found up front, in ascending order.
+    """
+    sizes = np.bincount(labels, minlength=k)
+    for j in np.flatnonzero(sizes == 0):
+        candidates = np.flatnonzero(sizes[labels] >= 2)
         far = int(candidates[np.argmax(d2[candidates])])
         centers[j] = F[far]
+        sizes[labels[far]] -= 1
+        sizes[j] = 1
         labels[far] = j
         d2[far] = 0.0
+
+
+def _cluster_means(F, labels, k):
+    """Per-cluster means of the rows of F; every cluster must be non-empty.
+
+    np.bincount adds each (cluster, column) bin's values in row order,
+    the order F[labels == j].mean(axis=0) uses for two or more columns,
+    so the means are bit-identical to it there. (numpy sums a single
+    column pairwise.)
+    """
+    q = F.shape[1]
+    bins = (labels * q)[:, None] + np.arange(q)  # bin of F[i, c]: labels[i] * q + c
+    sums = np.bincount(bins.ravel(), weights=F.ravel(), minlength=k * q)
+    return sums.reshape(k, q) / np.bincount(labels, minlength=k)[:, None]
 
 
 def _lloyd(F, centers, max_iter=MAX_ITER, tol=SHIFT_TOL):
@@ -90,9 +107,7 @@ def _lloyd(F, centers, max_iter=MAX_ITER, tol=SHIFT_TOL):
     for _ in range(max_iter):
         _repair_empty(F, centers, labels, d2, k)
         history.append(float(d2.sum()))
-        new_centers = np.empty_like(centers)
-        for j in range(k):
-            new_centers[j] = F[labels == j].mean(axis=0)
+        new_centers = _cluster_means(F, labels, k)
         shift = np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max()
         centers = new_centers
         labels, d2 = _assign(F, centers)
@@ -101,8 +116,7 @@ def _lloyd(F, centers, max_iter=MAX_ITER, tol=SHIFT_TOL):
     _repair_empty(F, centers, labels, d2, k)
     # Final means so each centroid is exactly its members' mean; labels are
     # kept as-is so the repair cannot be undone by tie reassignment.
-    for j in range(k):
-        centers[j] = F[labels == j].mean(axis=0)
+    centers = _cluster_means(F, labels, k)
     inertia = float(((F - centers[labels]) ** 2).sum())
     history.append(inertia)
     return centers, labels, inertia, history
@@ -136,12 +150,19 @@ def kmeans_fit(F, k: int, seed: int, n_init: int = N_INIT) -> ClusterModel:
     )
 
 
-def assign_nearest(model: ClusterModel, f) -> int:
-    """Index of the nearest centroid; ties break to the lowest index."""
+def assign_nearest(model: ClusterModel, f):
+    """Index of the nearest centroid; ties break to the lowest index.
+
+    f is one vector of length q (returns an int) or an (M, q) batch
+    (returns an (M,) index array). Each squared distance is summed over
+    the contiguous feature axis, so a batch row gets exactly the index
+    the single-vector call gives it.
+    """
     f = np.asarray(f, dtype=float)
-    if f.shape != (model.centroids.shape[1],):
-        raise ValueError(
-            f"expected vector of length {model.centroids.shape[1]}, got {f.shape}"
-        )
-    d2 = ((model.centroids - f) ** 2).sum(axis=1)
-    return int(np.argmin(d2))
+    q = model.centroids.shape[1]
+    if f.ndim not in (1, 2) or f.shape[-1] != q:
+        raise ValueError(f"expected vector of length {q} or (M, {q}) batch, got {f.shape}")
+    diff = f[..., None, :] - model.centroids
+    d2 = np.square(diff, out=diff).sum(axis=-1)
+    nearest = np.argmin(d2, axis=-1)
+    return int(nearest) if f.ndim == 1 else nearest

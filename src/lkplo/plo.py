@@ -140,27 +140,26 @@ def gen_directions(F_centered, config: DirectionConfig, seed: int) -> np.ndarray
     if n_k < 1 or q < 1:
         raise ValueError("need at least one member row and one feature")
     rng = np.random.default_rng(seed)
-    out = []
+    out = [np.empty((0, q))]
 
     def norm_rows(rows):
-        kept = []
-        for r in rows:
-            nrm = np.linalg.norm(r)
-            if nrm >= DIRECTION_NORM_FLOOR:
-                kept.append(r / nrm)
-        return kept
+        # A stacked 1xq @ qx1 product is the dot np.linalg.norm(r) takes,
+        # so every norm is bit-identical to the per-row call.
+        nrm = np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
+        keep = nrm >= DIRECTION_NORM_FLOOR
+        return rows[keep] / nrm[keep, None]
 
     if config.n_random > 0:
-        kept = []
+        kept = np.empty((0, q))
         budget = 10
         while len(kept) < config.n_random and budget > 0:
             cand = rng.standard_normal((config.n_random - len(kept), q))
-            kept.extend(norm_rows(cand))
+            kept = np.vstack([kept, norm_rows(cand)])
             budget -= 1
-        out.extend(kept)
+        out.append(kept)
 
     if config.include_basis:
-        out.extend(np.eye(q))
+        out.append(np.eye(q))
 
     n_one = config.n_one_point
     if n_one is None:
@@ -168,26 +167,27 @@ def gen_directions(F_centered, config: DirectionConfig, seed: int) -> np.ndarray
     if n_one > 0:
         replace = n_one > n_k
         idx = rng.choice(n_k, size=n_one, replace=replace)
-        out.extend(norm_rows(F_centered[idx]))
+        out.append(norm_rows(F_centered[idx]))
 
     n_two = config.n_two_points
     if n_two is None:
         n_two = min(50, n_k * (n_k - 1) // 2)
     if n_two > 0 and n_k >= 2:
-        kept = []
+        kept = np.empty((0, q))
         budget = 10
         while len(kept) < n_two and budget > 0:
             need = n_two - len(kept)
             i = rng.integers(n_k, size=need)
             j = rng.integers(n_k, size=need)
             ok = i != j
-            kept.extend(norm_rows(F_centered[i[ok]] - F_centered[j[ok]]))
+            kept = np.vstack([kept, norm_rows(F_centered[i[ok]] - F_centered[j[ok]])])
             budget -= 1
-        out.extend(kept[:n_two])
+        out.append(kept)
 
-    if not out:
+    directions = np.concatenate(out)
+    if len(directions) == 0:
         raise DegenerateDirectionsError("no usable projection directions")
-    return np.asarray(out)
+    return directions
 
 
 def robust_z_loss(u, f_prime, stats: ProjectionStats) -> float:
@@ -218,6 +218,13 @@ def local_score(f_new, entry: ClusterScorer, loss: LossSpec) -> float:
     f_prime = np.asarray(f_new, dtype=float) - entry.centroid
     proj = entry.directions @ f_prime
     return float(_losses(proj, entry, loss).max())
+
+
+def _check_finite(X, what):
+    """Raise a ValueError naming the first row of X with a NaN or inf."""
+    bad = ~np.isfinite(X).all(axis=1)
+    if bad.any():
+        raise ValueError(f"{what} row {int(np.argmax(bad))} is not finite")
 
 
 def _derive_seed(seed: int, *key) -> int:
@@ -252,6 +259,7 @@ def fit(X, config: FitConfig) -> LkploModel:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2:
         raise ValueError("X must be 2-D with at least 2 rows")
+    _check_finite(X, "training")
 
     kpca = None
     if config.variant == "plo":
@@ -302,6 +310,7 @@ def score(model: LkploModel, Xnew) -> np.ndarray:
     Xnew = np.asarray(Xnew, dtype=float)
     if Xnew.ndim != 2 or Xnew.shape[1] != model.d:
         raise ValueError(f"expected (M, {model.d}) input, got {Xnew.shape}")
+    _check_finite(Xnew, "input")
     if model.variant == "plo":
         F = Xnew
     else:
@@ -309,7 +318,7 @@ def score(model: LkploModel, Xnew) -> np.ndarray:
 
     m = F.shape[0]
     out = np.empty(m)
-    assign = np.array([assign_nearest(model.clusters, f) for f in F])
+    assign = assign_nearest(model.clusters, F)
     for j, entry in enumerate(model.per_cluster):
         rows = assign == j
         if not np.any(rows):

@@ -68,10 +68,15 @@ class TestGramMatrix:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 12))
         X = random_matrix(rng, n, int(rng.integers(1, 5)))
-        K = gram_matrix(X, KernelParams(float(rng.uniform(0.01, 5.0))))
+        gamma = float(rng.uniform(0.01, 5.0))
+        K = gram_matrix(X, KernelParams(gamma))
         np.testing.assert_array_equal(K, K.T)
         np.testing.assert_array_equal(np.diag(K), np.ones(n))
-        assert np.all(K > 0) and np.all(K <= 1)
+        assert np.all(K >= 0) and np.all(K <= 1)
+        # exp(-gamma * d2) underflows to exactly 0.0 for far-apart points;
+        # below an exponent of 700 it is a positive double and must stay so.
+        d2 = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
+        assert np.all(K[gamma * d2 < 700] > 0)
 
 
 class TestCenterGram:

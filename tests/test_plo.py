@@ -257,6 +257,13 @@ class TestFit:
         s2 = score(fit(X, cfg), X)
         np.testing.assert_array_equal(s1, s2)
 
+    @pytest.mark.parametrize("variant", ["plo", "lkplo"])
+    def test_non_finite_row_named(self, variant):
+        X = np.random.default_rng(21).standard_normal((12, 2))
+        X[7, 0] = np.nan
+        with pytest.raises(ValueError, match="training row 7 is not finite"):
+            fit(X, svm_config(variant, gamma=0.5, q=3, k=2))
+
 
 class TestScore:
     def test_single_cluster_weighting(self):
@@ -306,6 +313,15 @@ class TestScore:
         model = fit(rng.standard_normal((10, 2)), rz_config(seed=0))
         with pytest.raises(ValueError):
             score(model, np.zeros((3, 4)))
+
+    def test_non_finite_row_named(self):
+        rng = np.random.default_rng(20)
+        model = fit(rng.standard_normal((10, 2)), svm_config("kplo", gamma=0.5, q=3))
+        Xnew = np.zeros((6, 2))
+        Xnew[4, 1] = np.inf
+        Xnew[5, 0] = np.nan
+        with pytest.raises(ValueError, match="input row 4 is not finite"):
+            score(model, Xnew)
 
     def test_rpd_equivalence(self):
         """Linear-global robust-Z over random-only directions is classical

@@ -1,0 +1,202 @@
+"""The vectorized fit and score paths return exactly what the scalar
+loops in oracles.py return: equal bits, not merely close values."""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import oracles
+from lkplo.clustering import _kmeanspp_init, _lloyd, _repair_empty, assign_nearest, kmeans_fit
+from lkplo.kernel_feature import transform
+from lkplo.plo import (
+    DegenerateDirectionsError,
+    DirectionConfig,
+    FitConfig,
+    LossSpec,
+    _losses,
+    fit,
+    gen_directions,
+    score,
+)
+
+
+def features(seed, n, q, n_distinct):
+    """n rows drawn from n_distinct distinct points, so n_distinct < n
+    gives duplicate rows (and forces empty-cluster repair when k is
+    close to n)."""
+    rng = np.random.default_rng(seed)
+    points = rng.standard_normal((n_distinct, q)) * rng.uniform(0.1, 10.0)
+    return points[rng.integers(n_distinct, size=n)] if n_distinct < n else points
+
+
+def assert_runs_equal(got, want):
+    for g, w in zip(got[:3], want[:3]):
+        assert np.array_equal(g, w)
+    if len(got) > 3:
+        assert got[3] == want[3]
+
+
+# q >= 2: with one column, F[labels == j].mean(axis=0) reduces a
+# contiguous run and numpy sums it pairwise; see test_single_column.
+problems = st.tuples(
+    st.integers(0, 10_000),       # seed
+    st.integers(1, 40),           # n
+    st.integers(2, 6),            # q
+    st.floats(0.0, 1.0),          # k as a fraction of n
+    st.floats(0.05, 1.0),         # distinct rows as a fraction of n
+)
+
+
+def unpack(problem):
+    seed, n, q, k_frac, distinct_frac = problem
+    k = max(1, round(k_frac * n))
+    F = features(seed, n, q, max(1, round(distinct_frac * n)))
+    return seed, F, k
+
+
+class TestKmeansMatchesScalar:
+    @given(problems)
+    @example((0, 12, 2, 1.0, 1.0))    # k = N
+    @example((1, 12, 2, 0.9, 1.0))    # k close to N
+    @example((5, 40, 6, 0.0, 1.0))    # k = 1
+    @example((2, 12, 3, 0.9, 0.25))   # duplicate rows, k close to N
+    @example((3, 30, 2, 1.0, 0.5))    # duplicate rows, k = N
+    @settings(deadline=None)
+    def test_lloyd(self, problem):
+        seed, F, k = unpack(problem)
+        centers = _kmeanspp_init(F, k, np.random.default_rng(seed))
+        got = _lloyd(F, centers.copy())
+        want = oracles.lloyd(F, centers.copy())
+        assert_runs_equal(got, want)
+
+    @given(problems)
+    @example((3, 30, 2, 1.0, 0.5))
+    @settings(deadline=None, max_examples=30)
+    def test_kmeans_fit(self, problem):
+        seed, F, k = unpack(problem)
+        model = kmeans_fit(F, k, seed, n_init=3)
+        want = oracles.kmeans_fit(F, k, seed, n_init=3)
+        assert_runs_equal((model.centroids, model.membership, model.inertia), want)
+
+    def test_single_column(self):
+        # The scalar mean of one column sums each cluster pairwise, the
+        # bincount in index order, so the centroids agree to rounding
+        # only. The protocol's q is at least 5.
+        F = features(4, 40, 1, 40)
+        centers = _kmeanspp_init(F, 3, np.random.default_rng(4))
+        got = _lloyd(F, centers.copy())
+        want = oracles.lloyd(F, centers.copy())
+        assert np.array_equal(got[1], want[1])
+        np.testing.assert_allclose(got[0], want[0], rtol=1e-14, atol=0)
+
+    def test_duplicates_exercise_the_repair(self):
+        # Two copies of each point: k-means++ seeds distinct indices with
+        # equal coordinates, the first assignment leaves clusters empty,
+        # and the repair has to fill them.
+        F = np.repeat(np.column_stack([np.arange(6.0), np.arange(6.0) ** 2]), 2, axis=0)
+        centers = _kmeanspp_init(F, 12, np.random.default_rng(0))
+        got = _lloyd(F, centers.copy())
+        want = oracles.lloyd(F, centers.copy())
+        assert_runs_equal(got, want)
+        assert np.bincount(got[1], minlength=12).tolist() == [1] * 12
+
+    @given(st.integers(0, 10_000), st.integers(2, 30), st.integers(1, 29))
+    def test_repair_empty(self, seed, n, n_used):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, n + 1))
+        n_used = min(n_used, k)
+        F = rng.standard_normal((n, 2))
+        used = rng.choice(k, size=n_used, replace=False)
+        labels = used[rng.integers(n_used, size=n)]
+        d2 = rng.uniform(0.0, 1.0, size=n)
+        d2[rng.integers(n)] = d2.max()  # a tie for the farthest point
+        centers = rng.standard_normal((k, 2))
+        got = (F, centers.copy(), labels.copy(), d2.copy())
+        want = (F, centers.copy(), labels.copy(), d2.copy())
+        _repair_empty(*got, k)
+        oracles.repair_empty(*want, k)
+        for g, w in zip(got[1:], want[1:]):
+            assert np.array_equal(g, w)
+        assert np.bincount(got[2], minlength=k).min() >= 1
+
+
+CONFIGS = [
+    DirectionConfig(),
+    DirectionConfig(n_random=7, include_basis=False, n_one_point=30, n_two_points=3),
+    DirectionConfig(n_random=0, include_basis=True, n_one_point=0, n_two_points=60),
+    DirectionConfig(n_random=1, include_basis=False, n_one_point=1, n_two_points=1),
+]
+
+
+class TestDirectionsMatchScalar:
+    @given(
+        st.integers(0, 10_000),
+        st.integers(1, 25),
+        st.integers(1, 8),
+        st.sampled_from(CONFIGS),
+        st.floats(0.0, 1.0),
+    )
+    @settings(deadline=None)
+    def test_gen_directions(self, seed, n, q, config, zero_frac):
+        # Some rows (and so some differences) sit exactly at zero or just
+        # below the norm floor and must be dropped by both versions.
+        rng = np.random.default_rng(seed)
+        F = rng.standard_normal((n, q))
+        small = rng.uniform(size=n) < zero_frac
+        F[small] *= rng.choice([0.0, 1e-13, 1e-12], size=(int(small.sum()), 1))
+        try:
+            want = oracles.gen_directions(F, config, seed)
+        except DegenerateDirectionsError:
+            with pytest.raises(DegenerateDirectionsError):
+                gen_directions(F, config, seed)
+            return
+        assert np.array_equal(gen_directions(F, config, seed), want)
+
+    def test_rows_below_the_floor_are_dropped(self):
+        F = np.zeros((5, 3))
+        F[1] = [1e-13, 0.0, 0.0]
+        F[3] = [3.0, 4.0, 0.0]
+        config = DirectionConfig(n_random=0, include_basis=False, n_one_point=5, n_two_points=0)
+        got = gen_directions(F, config, seed=4)
+        assert np.array_equal(got, oracles.gen_directions(F, config, seed=4))
+        assert np.array_equal(got, [[0.6, 0.8, 0.0]] * len(got))
+
+
+class TestScoreAssignmentMatchesScalar:
+    @pytest.fixture(scope="class")
+    def model(self):
+        rng = np.random.default_rng(5)
+        X = np.vstack([rng.normal(c, 0.5, size=(40, 2)) for c in (-3.0, 0.0, 3.0)])
+        config = FitConfig(variant="lkplo", loss=LossSpec("svm_like", 2.0),
+                           gamma=0.5, q=6, k=5, seed=1)
+        return fit(X, config)
+
+    def grid(self):
+        axis = np.linspace(-6.0, 6.0, 61)
+        return np.array([[x, y] for x in axis for y in axis])
+
+    def test_batch_equals_per_row(self, model):
+        F = transform(model.kpca, self.grid())
+        want = [oracles.assign_nearest(model.clusters.centroids, f) for f in F]
+        assert np.array_equal(assign_nearest(model.clusters, F), want)
+
+    def test_ties_break_to_lowest_index(self, model):
+        # Midpoints of centroid pairs sit on (or within a rounding step
+        # of) the bisector, where the per-row and batch forms must agree.
+        C = model.clusters.centroids
+        F = np.array([(C[a] + C[b]) / 2 for a in range(len(C)) for b in range(len(C))])
+        want = [oracles.assign_nearest(C, f) for f in F]
+        assert np.array_equal(assign_nearest(model.clusters, F), want)
+        assert assign_nearest(model.clusters, C[2]) == 2
+
+    def test_score_uses_the_per_row_assignment(self, model):
+        X = self.grid()
+        F = transform(model.kpca, X)
+        assign = np.array([oracles.assign_nearest(model.clusters.centroids, f) for f in F])
+        want = np.empty(len(X))
+        for j, entry in enumerate(model.per_cluster):
+            rows = assign == j
+            proj = (F[rows] - entry.centroid) @ entry.directions.T
+            want[rows] = _losses(proj, entry, model.loss).max(axis=1) / entry.size
+        assert np.array_equal(score(model, X), want)
