@@ -28,14 +28,15 @@ class ClusterModel:
     inertia: float
 
 
-def _assign(F, centroids):
-    """Labels and squared distances to the nearest centroid.
+def _assign(F, f_sq, centroids):
+    """Labels and squared distances to the nearest centroid; f_sq is
+    (F * F).sum(axis=1), fixed for a whole Lloyd run.
 
     np.argmin returns the first minimum, which implements the
     lowest-index tie-break.
     """
     d2 = (
-        (F * F).sum(axis=1)[:, None]
+        f_sq[:, None]
         + (centroids * centroids).sum(axis=1)[None, :]
         - 2.0 * (F @ centroids.T)
     )
@@ -102,15 +103,16 @@ def _cluster_means(F, labels, k):
 def _lloyd(F, centers, max_iter=MAX_ITER, tol=SHIFT_TOL):
     """One Lloyd run; returns (centroids, labels, inertia, inertia_history)."""
     k = centers.shape[0]
+    f_sq = (F * F).sum(axis=1)
     history = []
-    labels, d2 = _assign(F, centers)
+    labels, d2 = _assign(F, f_sq, centers)
     for _ in range(max_iter):
         _repair_empty(F, centers, labels, d2, k)
         history.append(float(d2.sum()))
         new_centers = _cluster_means(F, labels, k)
         shift = np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max()
         centers = new_centers
-        labels, d2 = _assign(F, centers)
+        labels, d2 = _assign(F, f_sq, centers)
         if shift < tol:
             break
     _repair_empty(F, centers, labels, d2, k)

@@ -114,8 +114,11 @@ class Trial:
 def random_search(space: SearchSpace, n_trials: int, seed: int,
                   objective: Callable[[dict], float]):
     """Uniform random sampling with per-trial derived seeds; returns
-    (best params, trial log). Objective failures score -inf and the
-    search continues. Ties go to the earliest trial."""
+    (best params, trial log). A trial whose objective raises a
+    ValueError (which covers the degenerate-fit errors) or a LinAlgError
+    scores -inf and the search continues; any other exception
+    propagates. Raises ValueError when every trial failed. Ties go to
+    the earliest trial."""
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     trials = []
@@ -126,12 +129,16 @@ def random_search(space: SearchSpace, n_trials: int, seed: int,
         try:
             value = float(objective(params))
             error = None
-        except Exception as exc:  # recorded, not raised
+        except (ValueError, np.linalg.LinAlgError) as exc:  # recorded, not raised
             value = -math.inf
             error = f"{type(exc).__name__}: {exc}"
         trials.append(Trial(index=t, params=params, value=value, error=error))
         if best is None or value > best.value:
             best = trials[-1]
+    if all(t.error is not None for t in trials):
+        raise ValueError(
+            f"all {n_trials} search trials failed; trial 0: {trials[0].error}"
+        )
     return best.params, trials
 
 
@@ -287,10 +294,13 @@ def _fit_fold(dataset: Dataset, train_idx, method: Method, protocol: Protocol,
             est = method.build(params, fit_seed).fit(X_fit)
             return roc_auc(est.score(X_val), y_val)
 
-        best, trials = random_search(
-            method.space, protocol.n_trials,
-            _derive_seed(protocol.seed, fold, 2), objective,
-        )
+        try:
+            best, trials = random_search(
+                method.space, protocol.n_trials,
+                _derive_seed(protocol.seed, fold, 2), objective,
+            )
+        except ValueError as exc:
+            raise ValueError(f"fold {fold}: {exc}") from exc
     else:
         best, trials = {}, []
 

@@ -24,6 +24,10 @@ MAD_CONSISTENCY = 1.4826
 MAD_FLOOR = 1e-9
 DIRECTION_NORM_FLOOR = 1e-12
 MODEL_FORMAT = "lkplo-model-v1"
+# Byte budget for one score block's widest temporary (about L2-sized):
+# each (B, N) kernel, (B, k, q) assignment and (B, D) projection array
+# is allocated per block of B rows, not per batch.
+SCORE_BLOCK_BYTES = 1 << 20
 
 VARIANTS = ("plo", "kplo", "lkplo")
 LOSS_KINDS = ("robust_z", "svm_like")
@@ -305,16 +309,23 @@ def fit(X, config: FitConfig) -> LkploModel:
     )
 
 
-def score(model: LkploModel, Xnew) -> np.ndarray:
-    """Final outlyingness: (1 / N_k) * local score at the nearest cluster."""
-    Xnew = np.asarray(Xnew, dtype=float)
-    if Xnew.ndim != 2 or Xnew.shape[1] != model.d:
-        raise ValueError(f"expected (M, {model.d}) input, got {Xnew.shape}")
-    _check_finite(Xnew, "input")
+def _block_rows(model: LkploModel) -> int:
+    """Rows per score block: SCORE_BLOCK_BYTES over the widest per-row
+    temporary, the training size N (kernel rows), the direction count D
+    (projections) or k * q (assignment differences)."""
+    widths = [len(e.directions) for e in model.per_cluster]
+    widths.append(model.clusters.centroids.size)
+    if model.kpca is not None:
+        widths.append(len(model.kpca.train_points))
+    return max(1, SCORE_BLOCK_BYTES // (8 * max(widths)))
+
+
+def _score_block(model: LkploModel, X) -> np.ndarray:
+    """Scores of the validated rows X, all at once."""
     if model.variant == "plo":
-        F = Xnew
+        F = X
     else:
-        F = transform(model.kpca, Xnew)
+        F = transform(model.kpca, X)
 
     m = F.shape[0]
     out = np.empty(m)
@@ -325,6 +336,26 @@ def score(model: LkploModel, Xnew) -> np.ndarray:
             continue
         proj = (F[rows] - entry.centroid) @ entry.directions.T
         out[rows] = _losses(proj, entry, model.loss).max(axis=1) / entry.size
+    return out
+
+
+def score(model: LkploModel, Xnew) -> np.ndarray:
+    """Final outlyingness: (1 / N_k) * local score at the nearest cluster.
+
+    Rows are scored in blocks of _block_rows(model), so working memory is
+    O(SCORE_BLOCK_BYTES) whatever the batch size. A batch of at most one
+    block is scored in one call, bit-identical to an unblocked pass;
+    larger batches agree with it to rounding, because BLAS rounds a
+    matrix product's rows differently for different row counts.
+    """
+    Xnew = np.asarray(Xnew, dtype=float)
+    if Xnew.ndim != 2 or Xnew.shape[1] != model.d:
+        raise ValueError(f"expected (M, {model.d}) input, got {Xnew.shape}")
+    _check_finite(Xnew, "input")
+    rows = _block_rows(model)
+    out = np.empty(Xnew.shape[0])
+    for s in range(0, len(out), rows):
+        out[s:s + rows] = _score_block(model, Xnew[s:s + rows])
     return out
 
 
@@ -382,6 +413,49 @@ def model_to_dict(model: LkploModel) -> dict:
     return d
 
 
+def _check_shape(field, a, shape):
+    """Raise a ValueError naming field unless a has shape (an entry of
+    None matches any length)."""
+    if a.ndim != len(shape) or any(
+        want is not None and got != want for got, want in zip(a.shape, shape)
+    ):
+        want = str(shape).replace("None", "*")
+        raise ValueError(f"model field {field} has shape {a.shape}, expected {want}")
+
+
+def _check_model(model: LkploModel):
+    """Check every array score reads against d, q and k, so a malformed
+    model file fails at load, not halfway through a score batch."""
+    q = model.d
+    if model.kpca is not None:
+        kpca = model.kpca
+        _check_shape("kpca.train_points", kpca.train_points, (None, model.d))
+        n = len(kpca.train_points)
+        q = kpca.q
+        _check_shape("kpca.eigenvectors", kpca.eigenvectors, (n, q))
+        _check_shape("kpca.eigenvalues", kpca.eigenvalues, (q,))
+        if not np.all(kpca.eigenvalues > 0):
+            raise ValueError("model field kpca.eigenvalues has a value <= 0")
+        _check_shape("kpca.gram_row_means", kpca.gram_row_means, (n,))
+    k = model.clusters.k
+    _check_shape("clusters.centroids", model.clusters.centroids, (k, q))
+    _check_shape("clusters.sizes", model.clusters.sizes, (k,))
+    if not np.all(model.clusters.sizes >= 1):
+        raise ValueError("model field clusters.sizes has a value < 1")
+    if len(model.per_cluster) != k:
+        raise ValueError(
+            f"model field per_cluster has {len(model.per_cluster)} entries, expected {k}"
+        )
+    for j, e in enumerate(model.per_cluster):
+        _check_shape(f"per_cluster[{j}].centroid", e.centroid, (q,))
+        _check_shape(f"per_cluster[{j}].directions", e.directions, (None, q))
+        n_dir = len(e.directions)
+        _check_shape(f"per_cluster[{j}].medians", e.medians, (n_dir,))
+        _check_shape(f"per_cluster[{j}].mads", e.mads, (n_dir,))
+        if not e.size >= 1:
+            raise ValueError(f"model field per_cluster[{j}].size is below 1")
+
+
 def model_from_dict(d: dict) -> LkploModel:
     if d.get("format") != MODEL_FORMAT:
         raise ValueError(f"unsupported model format {d.get('format')!r}")
@@ -417,7 +491,7 @@ def model_from_dict(d: dict) -> LkploModel:
         for e in d["per_cluster"]
     ]
     dc = d["direction_config"]
-    return LkploModel(
+    model = LkploModel(
         variant=d["variant"],
         kpca=kpca,
         clusters=clusters,
@@ -432,6 +506,8 @@ def model_from_dict(d: dict) -> LkploModel:
         seed=d["seed"],
         d=d["d"],
     )
+    _check_model(model)
+    return model
 
 
 def save_model(model: LkploModel, path):

@@ -1,14 +1,34 @@
-"""Scalar reference versions of the vectorized production paths.
+"""Reference versions of the optimized production paths.
 
-Each function is the per-cluster or per-row loop that the production
-code replaced, kept verbatim so the tests can assert the vectorized
-version returns bit-identical results (np.array_equal, not allclose).
+Each function is the code the production path replaced (a per-cluster
+or per-row loop, k-means' per-call row norms, the single-pass score),
+kept verbatim so the tests can assert the optimized version returns
+bit-identical results (np.array_equal, not allclose), or, for a score
+batch spanning several blocks, results equal to rounding.
 """
 
 import numpy as np
 
-from lkplo.clustering import MAX_ITER, N_INIT, SHIFT_TOL, _assign, _kmeanspp_init
-from lkplo.plo import DIRECTION_NORM_FLOOR, DegenerateDirectionsError
+from lkplo.clustering import MAX_ITER, N_INIT, SHIFT_TOL, _kmeanspp_init
+from lkplo.clustering import assign_nearest as batch_assign_nearest
+from lkplo.kernel_feature import transform
+from lkplo.plo import DIRECTION_NORM_FLOOR, DegenerateDirectionsError, _losses
+
+
+def assign(F, centroids):
+    """Labels and squared distances to the nearest centroid.
+
+    np.argmin returns the first minimum, which implements the
+    lowest-index tie-break.
+    """
+    d2 = (
+        (F * F).sum(axis=1)[:, None]
+        + (centroids * centroids).sum(axis=1)[None, :]
+        - 2.0 * (F @ centroids.T)
+    )
+    np.clip(d2, 0.0, None, out=d2)
+    labels = np.argmin(d2, axis=1)
+    return labels, d2[np.arange(len(F)), labels]
 
 
 def repair_empty(F, centers, labels, d2, k):
@@ -28,7 +48,7 @@ def lloyd(F, centers, max_iter=MAX_ITER, tol=SHIFT_TOL):
     """One Lloyd run; returns (centroids, labels, inertia, inertia_history)."""
     k = centers.shape[0]
     history = []
-    labels, d2 = _assign(F, centers)
+    labels, d2 = assign(F, centers)
     for _ in range(max_iter):
         repair_empty(F, centers, labels, d2, k)
         history.append(float(d2.sum()))
@@ -37,7 +57,7 @@ def lloyd(F, centers, max_iter=MAX_ITER, tol=SHIFT_TOL):
             new_centers[j] = F[labels == j].mean(axis=0)
         shift = np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max()
         centers = new_centers
-        labels, d2 = _assign(F, centers)
+        labels, d2 = assign(F, centers)
         if shift < tol:
             break
     repair_empty(F, centers, labels, d2, k)
@@ -118,3 +138,24 @@ def assign_nearest(centroids, f):
     """Index of the nearest centroid to the single vector f."""
     d2 = ((centroids - f) ** 2).sum(axis=1)
     return int(np.argmin(d2))
+
+
+def score(model, Xnew):
+    """The single-pass score: one transform, one assignment and one
+    projection per cluster over the whole batch."""
+    Xnew = np.asarray(Xnew, dtype=float)
+    if model.variant == "plo":
+        F = Xnew
+    else:
+        F = transform(model.kpca, Xnew)
+
+    m = F.shape[0]
+    out = np.empty(m)
+    assign = batch_assign_nearest(model.clusters, F)
+    for j, entry in enumerate(model.per_cluster):
+        rows = assign == j
+        if not np.any(rows):
+            continue
+        proj = (F[rows] - entry.centroid) @ entry.directions.T
+        out[rows] = _losses(proj, entry, model.loss).max(axis=1) / entry.size
+    return out

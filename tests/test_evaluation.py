@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lkplo.clustering import InvalidKError
 from lkplo.data import Dataset, gen_three_gaussians
 from lkplo.evaluation import (
     Method,
@@ -16,6 +17,8 @@ from lkplo.evaluation import (
     run_ablation,
     stratified_kfold,
 )
+from lkplo.kernel_feature import DegenerateKernelError
+from lkplo.plo import DegenerateDirectionsError
 
 
 class TestStratifiedKfold:
@@ -123,12 +126,42 @@ class TestRandomSearch:
     def test_failures_recorded_not_raised(self):
         def objective(p):
             if p["k"] % 2 == 0:
-                raise RuntimeError("boom")
+                raise InvalidKError("boom")
             return p["k"]
 
         best, log = random_search(self.space, 50, seed=3, objective=objective)
         assert best["k"] % 2 == 1
         assert any(t.error is not None for t in log)
+
+    def test_linalg_failures_recorded(self):
+        def objective(p):
+            if p["k"] % 2 == 0:
+                raise np.linalg.LinAlgError("eigh did not converge")
+            return p["k"]
+
+        _, log = random_search(self.space, 20, seed=3, objective=objective)
+        assert any(t.error.startswith("LinAlgError") for t in log if t.error)
+
+    def test_programming_errors_propagate(self):
+        def objective(p):
+            return p["k"] + "1"  # TypeError
+
+        with pytest.raises(TypeError):
+            random_search(self.space, 5, seed=3, objective=objective)
+
+    def test_all_trials_failed_raises_with_first_error(self):
+        seen = []
+
+        def objective(p):
+            seen.append(p["k"])
+            raise DegenerateKernelError(f"rank zero at k={p['k']}")
+
+        with pytest.raises(ValueError, match="all 4 search trials failed") as info:
+            random_search(self.space, 4, seed=5, objective=objective)
+        assert len(seen) == 4
+        assert str(info.value).endswith(
+            f"trial 0: DegenerateKernelError: rank zero at k={seen[0]}"
+        )
 
     def test_deterministic_trial_sequence(self):
         _, l1 = random_search(self.space, 10, seed=4, objective=lambda p: 0.0)
@@ -226,6 +259,25 @@ class TestEvaluateMethod:
         np.testing.assert_array_equal(scaler_a.means, scaler_b.means)
         np.testing.assert_array_equal(scaler_a.stds, scaler_b.stds)
         assert best_a == best_b
+
+    def test_fold_with_every_trial_failed_raises(self):
+        # Without the check the search returned trial 0's parameters and
+        # the fold reported a normal-looking AUC.
+        def build(params, seed):
+            def fail(X):
+                raise DegenerateDirectionsError("no usable projection directions")
+            return _FixedScorer(fail)
+
+        method = Method("broken", SearchSpace({"k": ParamSpec("int", 2, 30)}), build)
+        with pytest.raises(ValueError, match=r"^fold 0: all 2 search trials failed; "
+                           r"trial 0: DegenerateDirectionsError: no usable"):
+            evaluate_method(label_coded_dataset(6), method, Protocol(n_trials=2))
+
+    def test_programming_error_in_a_trial_propagates(self):
+        method = Method("typo", SearchSpace({"k": ParamSpec("int", 2, 30)}),
+                        lambda p, s: _FixedScorer(lambda X: X[:, "0"]))
+        with pytest.raises(IndexError):
+            evaluate_method(label_coded_dataset(7), method, Protocol(n_trials=2))
 
     def test_propagates_stratification_error(self):
         rng = np.random.default_rng(4)

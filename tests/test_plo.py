@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -367,4 +370,56 @@ class TestSerialization:
         assert d["format"] == "lkplo-model-v1"
         d["format"] = "something-else"
         with pytest.raises(ValueError):
+            model_from_dict(d)
+
+
+def _drop_last(key):
+    return lambda d: d.__setitem__(key, d[key][:-1])
+
+
+# (field named in the error, corruption of a fitted lkplo model's dict)
+CORRUPTIONS = [
+    ("clusters.centroids", lambda d: d["clusters"].update(
+        centroids=[c[:-1] for c in d["clusters"]["centroids"]])),
+    ("clusters.centroids", lambda d: _drop_last("centroids")(d["clusters"])),
+    ("clusters.sizes", lambda d: _drop_last("sizes")(d["clusters"])),
+    ("clusters.sizes", lambda d: d["clusters"]["sizes"].__setitem__(1, 0)),
+    ("per_cluster", _drop_last("per_cluster")),
+    ("per_cluster[1].centroid", lambda d: _drop_last("centroid")(d["per_cluster"][1])),
+    ("per_cluster[1].directions", lambda d: d["per_cluster"][1].update(
+        directions=[u[:-1] for u in d["per_cluster"][1]["directions"]])),
+    ("per_cluster[1].directions", lambda d: d["per_cluster"][1].update(
+        directions=[], medians=[], mads=[])),
+    ("per_cluster[1].medians", lambda d: _drop_last("medians")(d["per_cluster"][1])),
+    ("per_cluster[1].mads", lambda d: _drop_last("mads")(d["per_cluster"][1])),
+    ("per_cluster[1].size", lambda d: d["per_cluster"][1].update(size=0)),
+    ("kpca.train_points", lambda d: d["kpca"].update(
+        train_points=[x + [0.0] for x in d["kpca"]["train_points"]])),
+    ("kpca.eigenvectors", lambda d: _drop_last("eigenvectors")(d["kpca"])),
+    ("kpca.eigenvalues", lambda d: _drop_last("eigenvalues")(d["kpca"])),
+    ("kpca.eigenvalues", lambda d: d["kpca"]["eigenvalues"].__setitem__(-1, 0.0)),
+    ("kpca.gram_row_means", lambda d: _drop_last("gram_row_means")(d["kpca"])),
+]
+
+
+class TestModelValidation:
+    @pytest.fixture(scope="class")
+    def model_dict(self):
+        rng = np.random.default_rng(21)
+        X = rng.standard_normal((30, 2))
+        return model_to_dict(fit(X, svm_config("lkplo", gamma=0.5, q=4, k=3, seed=2)))
+
+    @pytest.mark.parametrize("field,corrupt", CORRUPTIONS,
+                             ids=[f"{i}-{f}" for i, (f, _) in enumerate(CORRUPTIONS)])
+    def test_corrupted_field_is_named(self, model_dict, field, corrupt):
+        d = json.loads(json.dumps(model_dict))
+        corrupt(d)
+        with pytest.raises(ValueError, match=f"model field {re.escape(field)} "):
+            model_from_dict(d)
+
+    def test_plo_centroid_width_is_d(self):
+        rng = np.random.default_rng(22)
+        d = model_to_dict(fit(rng.standard_normal((20, 3)), rz_config(seed=1)))
+        d["d"] = 2
+        with pytest.raises(ValueError, match=r"model field clusters\.centroids "):
             model_from_dict(d)

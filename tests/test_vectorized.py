@@ -1,5 +1,9 @@
 """The vectorized fit and score paths return exactly what the scalar
-loops in oracles.py return: equal bits, not merely close values."""
+loops in oracles.py return: equal bits, not merely close values. Blocked
+scoring matches the single-pass oracle exactly within one block and to
+rounding across blocks."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,13 +12,17 @@ from hypothesis import strategies as st
 
 import oracles
 from lkplo.clustering import _kmeanspp_init, _lloyd, _repair_empty, assign_nearest, kmeans_fit
+from lkplo.data import gen_three_gaussians
 from lkplo.kernel_feature import transform
 from lkplo.plo import (
+    SCORE_BLOCK_BYTES,
     DegenerateDirectionsError,
     DirectionConfig,
     FitConfig,
     LossSpec,
+    _block_rows,
     _losses,
+    _score_block,
     fit,
     gen_directions,
     score,
@@ -200,3 +208,69 @@ class TestScoreAssignmentMatchesScalar:
             proj = (F[rows] - entry.centroid) @ entry.directions.T
             want[rows] = _losses(proj, entry, model.loss).max(axis=1) / entry.size
         assert np.array_equal(score(model, X), want)
+
+
+class TestBlockedScore:
+    @pytest.fixture(scope="class", params=[
+        ("lkplo", LossSpec("svm_like", 2.0)),
+        ("lkplo", LossSpec("robust_z")),
+        ("kplo", LossSpec("robust_z")),
+        ("plo", LossSpec("svm_like", 1.5)),
+    ], ids=lambda p: f"{p[0]}-{p[1].kind}")
+    def model(self, request):
+        variant, loss = request.param
+        X = gen_three_gaussians(3).X
+        return fit(X, FitConfig(variant=variant, loss=loss, gamma=0.5, q=12, k=6, seed=2))
+
+    def rows(self, n, seed=0):
+        return np.random.default_rng(seed).uniform(-4.0, 9.0, size=(n, 2))
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 97, "B"])
+    def test_one_block_equals_single_pass(self, model, m):
+        if m == "B":
+            m = _block_rows(model)
+        X = self.rows(m)
+        got = score(model, X)
+        assert got.shape == (m,)
+        assert np.array_equal(got, oracles.score(model, X))
+
+    def test_several_blocks_equal_single_pass_to_rounding(self, model):
+        # BLAS rounds a product's rows differently for different row
+        # counts, so splitting the batch moves scores by about 1e-15.
+        b = _block_rows(model)
+        X = self.rows(3 * b + 17, seed=1)
+        np.testing.assert_allclose(score(model, X), oracles.score(model, X),
+                                   rtol=1e-12, atol=0)
+
+    def test_score_concatenates_the_blocks(self, model):
+        b = _block_rows(model)
+        X = self.rows(2 * b + 5, seed=2)
+        want = np.concatenate([_score_block(model, X[s:s + b])
+                               for s in range(0, len(X), b)])
+        assert np.array_equal(score(model, X), want)
+
+    def test_non_finite_row_anywhere_in_the_batch_is_named(self, model):
+        X = self.rows(2 * _block_rows(model) + 5)
+        X[-2, 1] = np.nan
+        with pytest.raises(ValueError, match=f"input row {len(X) - 2} "):
+            score(model, X)
+
+
+def test_score_memory_is_per_block():
+    # numpy reports its buffers to tracemalloc. A single pass over 20k
+    # rows at N = 480 allocates several 77 MB (M, N) temporaries; blocked
+    # scoring needs a few block-sized ones plus the output.
+    ds = gen_three_gaussians(0)
+    q = 20
+    model = fit(ds.X, FitConfig(variant="lkplo", loss=LossSpec("svm_like", 2.0),
+                                gamma=0.5, q=q, k=10, seed=0))
+    assert len(ds.X) >= 400
+    m = 20_000
+    X = np.random.default_rng(0).uniform(-4.0, 9.0, size=(m, 2))
+    tracemalloc.start()
+    try:
+        score(model, X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * SCORE_BLOCK_BYTES + m * (q + 1) * 8
