@@ -56,8 +56,11 @@ def _kmeanspp_init(F, k, rng):
     for j in range(1, k):
         total = d2.sum()
         if total > 0:
-            probs = d2 / total
-            idx = int(rng.choice(n, p=probs))
+            # What rng.choice(n, p=d2 / total) does, without re-validating
+            # and Kahan-summing p for every centre: same index, same RNG state.
+            cdf = np.cumsum(d2 / total)
+            cdf /= cdf[-1]
+            idx = int(cdf.searchsorted(rng.random(), side="right"))
         else:
             # All remaining distances zero (duplicate points): pick any
             # index not chosen yet so k == n stays feasible.

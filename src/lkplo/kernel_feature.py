@@ -1,8 +1,8 @@
 """Stage 1: RBF kernel PCA with out-of-sample transform.
 
 Builds the Gram matrix, double-centers it, solves the symmetric
-eigenproblem and keeps the top-q eigenpairs above a numerical rank
-floor. Training features use the sqrt(lambda)-scaled eigenvector
+eigenproblem for its top-q eigenpairs and keeps those above a numerical
+rank floor. Training features use the sqrt(lambda)-scaled eigenvector
 convention; new points are projected with the matching 1/sqrt(lambda)
 formula so that both agree exactly on the training set.
 """
@@ -63,13 +63,13 @@ def _cross_kernel(X, Y, params: KernelParams, kernel: str) -> np.ndarray:
     Y = np.asarray(Y, dtype=float)
     if kernel == "linear":
         return X @ Y.T
-    sq = (
-        (X * X).sum(axis=1)[:, None]
-        + (Y * Y).sum(axis=1)[None, :]
-        - 2.0 * (X @ Y.T)
-    )
+    sq = (X * X).sum(axis=1)[:, None] + (Y * Y).sum(axis=1)[None, :]
+    cross = X @ Y.T
+    cross *= 2.0
+    sq -= cross
     np.clip(sq, 0.0, None, out=sq)
-    return np.exp(-params.gamma * sq)
+    sq *= -params.gamma
+    return np.exp(sq, out=sq)
 
 
 def gram_matrix(X, params: KernelParams) -> np.ndarray:
@@ -77,8 +77,7 @@ def gram_matrix(X, params: KernelParams) -> np.ndarray:
     mirrored), unit diagonal."""
     X = np.asarray(X, dtype=float)
     K = _cross_kernel(X, X, params, "rbf")
-    i, j = np.tril_indices(K.shape[0], k=-1)
-    K[i, j] = K[j, i]
+    np.copyto(K, K.T.copy(), where=np.tri(K.shape[0], k=-1, dtype=bool))
     np.fill_diagonal(K, 1.0)
     return K
 
@@ -117,7 +116,15 @@ def fit_kpca(X, params: KernelParams, q_requested: int, kernel: str = "rbf") -> 
         K = _cross_kernel(X, X, params, kernel)
     Kbar, row_means, total_mean = center_gram(K)
 
-    eigvals, eigvecs = np.linalg.eigh(Kbar)
+    # Imported here so that loading and scoring a model never loads scipy.
+    from scipy.linalg import eigh
+
+    # Only the top eigenpairs are kept, so solve only those (LAPACK's
+    # dsyevr), in place: Kbar is a temporary. The rank floor needs just the
+    # largest eigenvalue, which the subset contains.
+    top = min(q_requested, n)
+    eigvals, eigvecs = eigh(Kbar, subset_by_index=[n - top, n - 1],
+                            driver="evr", overwrite_a=True)
     order = np.argsort(eigvals)[::-1]
     eigvals = eigvals[order]
     eigvecs = eigvecs[:, order]

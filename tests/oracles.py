@@ -1,18 +1,136 @@
 """Reference versions of the optimized production paths.
 
 Each function is the code the production path replaced (a per-cluster
-or per-row loop, k-means' per-call row norms, the single-pass score),
-kept verbatim so the tests can assert the optimized version returns
-bit-identical results (np.array_equal, not allclose), or, for a score
-batch spanning several blocks, results equal to rounding.
+or per-row loop, k-means' per-call row norms, rng.choice in k-means++,
+the fancy-indexed Gram mirror, the single-pass score), kept verbatim so
+the tests can assert the optimized version returns bit-identical results
+(np.array_equal, not allclose), or, for a score batch spanning several
+blocks, results equal to rounding. The full-spectrum fit_kpca and the
+scipy-ranked roc_auc are references to rounding and exactly, respectively.
 """
 
 import numpy as np
+from scipy.stats import rankdata
 
-from lkplo.clustering import MAX_ITER, N_INIT, SHIFT_TOL, _kmeanspp_init
+from lkplo.clustering import MAX_ITER, N_INIT, SHIFT_TOL
 from lkplo.clustering import assign_nearest as batch_assign_nearest
-from lkplo.kernel_feature import transform
+from lkplo.kernel_feature import (
+    ABS_EIG_FLOOR,
+    REL_EIG_FLOOR,
+    DegenerateKernelError,
+    KpcaModel,
+    center_gram,
+    transform,
+)
 from lkplo.plo import DIRECTION_NORM_FLOOR, DegenerateDirectionsError, _losses
+
+
+def roc_auc(scores, y):
+    """AUC from scipy's average ranks (Mann-Whitney U)."""
+    scores = np.asarray(scores, dtype=float)
+    y = np.asarray(y)
+    n1 = int(np.sum(y == 1))
+    n0 = int(np.sum(y == 0))
+    ranks = rankdata(scores)
+    u = ranks[y == 1].sum() - n1 * (n1 + 1) / 2
+    return float(u / (n0 * n1))
+
+
+def cross_kernel(X, Y, params, kernel):
+    """Kernel evaluations between the rows of X (M, d) and Y (N, d)."""
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    if kernel == "linear":
+        return X @ Y.T
+    sq = (
+        (X * X).sum(axis=1)[:, None]
+        + (Y * Y).sum(axis=1)[None, :]
+        - 2.0 * (X @ Y.T)
+    )
+    np.clip(sq, 0.0, None, out=sq)
+    return np.exp(-params.gamma * sq)
+
+
+def gram_matrix(X, params):
+    """N x N RBF Gram matrix, symmetric by construction (upper triangle
+    mirrored), unit diagonal."""
+    X = np.asarray(X, dtype=float)
+    K = cross_kernel(X, X, params, "rbf")
+    i, j = np.tril_indices(K.shape[0], k=-1)
+    K[i, j] = K[j, i]
+    np.fill_diagonal(K, 1.0)
+    return K
+
+
+def fit_kpca(X, params, q_requested, kernel="rbf"):
+    """fit_kpca solving the full spectrum with np.linalg.eigh."""
+    X = np.asarray(X, dtype=float)
+    n = X.shape[0]
+    if n < 2:
+        raise ValueError("need at least 2 training points")
+    if q_requested < 1:
+        raise ValueError("q_requested must be >= 1")
+
+    if kernel == "rbf":
+        K = gram_matrix(X, params)
+    else:
+        K = cross_kernel(X, X, params, kernel)
+    Kbar, row_means, total_mean = center_gram(K)
+
+    eigvals, eigvecs = np.linalg.eigh(Kbar)
+    order = np.argsort(eigvals)[::-1]
+    eigvals = eigvals[order]
+    eigvecs = eigvecs[:, order]
+
+    floor = max(ABS_EIG_FLOOR, REL_EIG_FLOOR * max(eigvals[0], 0.0))
+    rank = int(np.sum(eigvals > floor))
+    if rank == 0:
+        raise DegenerateKernelError(
+            "centered Gram matrix is numerically rank zero"
+        )
+    q = min(q_requested, rank)
+    eigvals = eigvals[:q].copy()
+    eigvecs = eigvecs[:, :q].copy()
+
+    # Deterministic sign: largest-magnitude entry of each column positive.
+    for j in range(q):
+        col = eigvecs[:, j]
+        if col[np.argmax(np.abs(col))] < 0:
+            eigvecs[:, j] = -col
+
+    return KpcaModel(
+        train_points=X.copy(),
+        params=params,
+        q=q,
+        eigenvalues=eigvals,
+        eigenvectors=eigvecs,
+        gram_row_means=row_means,
+        gram_total_mean=total_mean,
+        kernel=kernel,
+    )
+
+
+def kmeanspp_init(F, k, rng):
+    n = F.shape[0]
+    centers = np.empty((k, F.shape[1]))
+    chosen = np.zeros(n, dtype=bool)
+    first = int(rng.integers(n))
+    centers[0] = F[first]
+    chosen[first] = True
+    d2 = ((F - centers[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total > 0:
+            probs = d2 / total
+            idx = int(rng.choice(n, p=probs))
+        else:
+            # All remaining distances zero (duplicate points): pick any
+            # index not chosen yet so k == n stays feasible.
+            idx = int(rng.choice(np.flatnonzero(~chosen)))
+        centers[j] = F[idx]
+        chosen[idx] = True
+        d2 = np.minimum(d2, ((F - centers[j]) ** 2).sum(axis=1))
+    return centers
 
 
 def assign(F, centroids):
@@ -73,7 +191,7 @@ def kmeans_fit(F, k, seed, n_init=N_INIT):
     best = None
     for restart in range(n_init):
         rng = np.random.default_rng(seed + restart)
-        centers = _kmeanspp_init(F, k, rng)
+        centers = kmeanspp_init(F, k, rng)
         centers, labels, inertia, _ = lloyd(F, centers)
         if best is None or inertia < best[2]:
             best = (centers, labels, inertia)

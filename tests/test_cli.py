@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lkplo
 from lkplo.cli import main
 from lkplo.data import gen_three_gaussians, load_csv, save_csv
 from lkplo.plo import (
@@ -102,6 +107,30 @@ class TestScoreCommand:
         rc = run("score", "--model", model_path, "--data", bad,
                  "--out", tmp_path / "s.csv")
         assert rc != 0
+
+    def test_score_process_never_loads_scipy(self, tmp_path, train_csv):
+        # Only fit's eigensolver needs scipy; a cold score process must
+        # not pay for importing it.
+        model_path = tmp_path / "m.json"
+        assert run("fit", "--data", train_csv, "--out", model_path,
+                   "--variant", "lkplo", "--q", "6", "--k", "3") == 0
+        child = (
+            "import sys\n"
+            "from lkplo.cli import main\n"
+            "rc = main(sys.argv[1:])\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+            "sys.exit(rc)\n"
+        )
+        src = str(Path(lkplo.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-c", child, "score", "--model", str(model_path),
+             "--data", str(train_csv), "--out", str(tmp_path / "s.csv")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
 
 
 class TestBenchmarkCommand:

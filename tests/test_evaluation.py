@@ -1,5 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
+from scipy.stats import rankdata
+
+import oracles
 
 from lkplo.clustering import InvalidKError
 from lkplo.data import Dataset, gen_three_gaussians
@@ -9,6 +14,7 @@ from lkplo.evaluation import (
     Protocol,
     SearchSpace,
     StratificationError,
+    _average_ranks,
     _fit_fold,
     evaluate_method,
     make_method,
@@ -68,6 +74,23 @@ class TestRocAuc:
     def test_single_class_raises(self):
         with pytest.raises(ValueError):
             roc_auc([1.0, 2.0], [0, 0])
+
+    def test_nan_score_raises(self):
+        with pytest.raises(ValueError, match="NaN"):
+            roc_auc([0.1, np.nan, 0.3], [0, 1, 1])
+
+    # A few values, signed zeros and infinities make long tie runs.
+    TIED = st.sampled_from([-np.inf, -2.5, -0.0, 0.0, 5e-324, 0.5, 0.5 + 2**-53, 7.0, np.inf])
+
+    @given(st.lists(st.tuples(st.one_of(TIED, st.floats(allow_nan=False)), st.sampled_from([0, 1])),
+                    min_size=2, max_size=300))
+    @example([(0.0, 0), (-0.0, 1), (0.0, 1)])
+    def test_equals_scipy_rankdata(self, rows):
+        scores = np.array([s for s, _ in rows])
+        y = np.array([c for _, c in rows])
+        assert np.array_equal(_average_ranks(scores), rankdata(scores))
+        assume(0 < y.sum() < len(y))
+        assert roc_auc(scores, y) == oracles.roc_auc(scores, y)
 
     def test_matches_pairwise_counting(self):
         rng = np.random.default_rng(0)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from lkplo.kernel_feature import (
     DegenerateKernelError,
     KernelParams,
@@ -172,6 +173,67 @@ class TestFitKpca:
         m2 = fit_kpca(X, KernelParams(0.3), 5)
         np.testing.assert_array_equal(m1.eigenvectors, m2.eigenvectors)
         np.testing.assert_array_equal(m1.eigenvalues, m2.eigenvalues)
+
+
+class TestTopQMatchesFullSpectrum:
+    """fit_kpca solves only the top min(q, N) eigenpairs; the oracle solves
+    all N and keeps the top ones. Both round differently, so they agree to
+    a tolerance, and the retained count must be the same."""
+
+    @given(
+        st.integers(0, 10_000),
+        st.integers(2, 60),
+        st.integers(1, 4),
+        st.floats(0.05, 5.0),
+        st.integers(1, 63),
+    )
+    @example(0, 7, 2, 1.0, 20)    # q_requested > N
+    @settings(deadline=None)
+    def test_matches_full_spectrum(self, seed, n, d, gamma, q):
+        rng = np.random.default_rng(seed)
+        X = random_matrix(rng, n, d, scale=rng.uniform(0.1, 3.0))
+        params = KernelParams(gamma)
+        got = fit_kpca(X, params, q)
+        want = oracles.fit_kpca(X, params, q)
+        assert got.q == want.q
+        lam = want.eigenvalues
+        # Eigenvalues far above the rank floor agree to rtol 1e-10; the
+        # solver's absolute error, ~1e-15 * lambda_max, bounds the rest.
+        big = lam >= 1e-5 * lam[0]
+        np.testing.assert_allclose(got.eigenvalues[big], lam[big], rtol=1e-10, atol=0)
+        np.testing.assert_allclose(got.eigenvalues, lam, rtol=0, atol=1e-12 * lam[0])
+        # An eigenvector is determined to about eps * lambda_max / gap, so
+        # compare the ones whose eigenvalue is well separated from its
+        # neighbours in the full spectrum, up to sign.
+        full = np.linalg.eigvalsh(center_gram(gram_matrix(X, params))[0])[::-1]
+        for j in range(got.q):
+            gap = min(full[j - 1] - full[j] if j > 0 else np.inf,
+                      full[j] - full[j + 1] if j + 1 < n else np.inf)
+            if gap > 1e-4 * full[0]:
+                v, w = got.eigenvectors[:, j], want.eigenvectors[:, j]
+                np.testing.assert_allclose(v * np.sign(v @ w), w, rtol=0, atol=1e-9)
+
+    def test_q_above_n_clamps_to_rank(self):
+        rng = np.random.default_rng(8)
+        X = random_matrix(rng, 7, 2)
+        got = fit_kpca(X, KernelParams(1.0), q_requested=20)
+        want = oracles.fit_kpca(X, KernelParams(1.0), q_requested=20)
+        assert got.q == want.q == 6  # centering removes one dimension
+        np.testing.assert_allclose(got.eigenvalues, want.eigenvalues, rtol=1e-10)
+
+    def test_q_above_rank_clamps_to_rank(self):
+        rng = np.random.default_rng(9)
+        X = np.repeat(random_matrix(rng, 4, 2), 3, axis=0)
+        got = fit_kpca(X, KernelParams(1.0), q_requested=10)
+        want = oracles.fit_kpca(X, KernelParams(1.0), q_requested=10)
+        assert got.q == want.q == 3
+        np.testing.assert_allclose(got.eigenvalues, want.eigenvalues, rtol=1e-10)
+
+    @pytest.mark.parametrize("q", [1, 4, 10])
+    def test_identical_points_degenerate_for_any_subset(self, q):
+        X = np.full((4, 3), 2.5)
+        with pytest.raises(DegenerateKernelError):
+            fit_kpca(X, KernelParams(1.0), q_requested=q)
 
 
 class TestTransform:

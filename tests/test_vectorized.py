@@ -11,9 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from lkplo import kernel_feature
 from lkplo.clustering import _kmeanspp_init, _lloyd, _repair_empty, assign_nearest, kmeans_fit
 from lkplo.data import gen_three_gaussians
-from lkplo.kernel_feature import transform
+from lkplo.kernel_feature import KernelParams, _cross_kernel, gram_matrix, transform
 from lkplo.plo import (
     SCORE_BLOCK_BYTES,
     DegenerateDirectionsError,
@@ -109,6 +110,17 @@ class TestKmeansMatchesScalar:
         assert_runs_equal(got, want)
         assert np.bincount(got[1], minlength=12).tolist() == [1] * 12
 
+    @given(problems)
+    @example((0, 12, 2, 1.0, 1.0))    # k = N
+    @example((2, 12, 3, 0.9, 0.25))   # duplicate rows, k close to N
+    @example((3, 30, 2, 1.0, 0.5))    # duplicate rows, k = N: zero-total draws
+    @settings(deadline=None)
+    def test_kmeanspp_init(self, problem):
+        seed, F, k = unpack(problem)
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert np.array_equal(_kmeanspp_init(F, k, rng), oracles.kmeanspp_init(F, k, ref))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
     @given(st.integers(0, 10_000), st.integers(2, 30), st.integers(1, 29))
     def test_repair_empty(self, seed, n, n_used):
         rng = np.random.default_rng(seed)
@@ -127,6 +139,36 @@ class TestKmeansMatchesScalar:
         for g, w in zip(got[1:], want[1:]):
             assert np.array_equal(g, w)
         assert np.bincount(got[2], minlength=k).min() >= 1
+
+
+class TestKernelMatchesReference:
+    @given(
+        st.integers(0, 10_000),
+        st.integers(1, 40),
+        st.integers(0, 40),
+        st.integers(1, 5),
+        st.floats(1e-3, 1e3),
+    )
+    def test_gram_and_cross_kernel(self, seed, n, m, d, gamma):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0)
+        Y = rng.standard_normal((m, d))
+        params = KernelParams(gamma)
+        assert np.array_equal(gram_matrix(X, params), oracles.gram_matrix(X, params))
+        assert np.array_equal(_cross_kernel(Y, X, params, "rbf"),
+                              oracles.cross_kernel(Y, X, params, "rbf"))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    def test_mirror_copies_the_upper_triangle(self, n, monkeypatch):
+        # numpy computes X @ X.T with a symmetric rank-k update, so a real
+        # Gram matrix is often symmetric before the mirror; an asymmetric
+        # one shows which triangle is kept.
+        A = np.random.default_rng(n).uniform(size=(n, n))
+        monkeypatch.setattr(kernel_feature, "_cross_kernel", lambda *args: A.copy())
+        monkeypatch.setattr(oracles, "cross_kernel", lambda *args: A.copy())
+        X = np.zeros((n, 1))
+        assert np.array_equal(gram_matrix(X, KernelParams(1.0)),
+                              oracles.gram_matrix(X, KernelParams(1.0)))
 
 
 CONFIGS = [
@@ -199,14 +241,22 @@ class TestScoreAssignmentMatchesScalar:
         assert assign_nearest(model.clusters, C[2]) == 2
 
     def test_score_uses_the_per_row_assignment(self, model):
+        # The grid spans several score blocks. BLAS may round a product's
+        # rows differently for different row counts, so the reference runs
+        # the same products on the same block-aligned slices and only the
+        # assignment differs: per row here, batched in score.
         X = self.grid()
-        F = transform(model.kpca, X)
-        assign = np.array([oracles.assign_nearest(model.clusters.centroids, f) for f in F])
+        b = _block_rows(model)
+        assert len(X) > b
         want = np.empty(len(X))
-        for j, entry in enumerate(model.per_cluster):
-            rows = assign == j
-            proj = (F[rows] - entry.centroid) @ entry.directions.T
-            want[rows] = _losses(proj, entry, model.loss).max(axis=1) / entry.size
+        for s in range(0, len(X), b):
+            F = transform(model.kpca, X[s:s + b])
+            assign = np.array([oracles.assign_nearest(model.clusters.centroids, f) for f in F])
+            block = want[s:s + b]
+            for j, entry in enumerate(model.per_cluster):
+                rows = assign == j
+                proj = (F[rows] - entry.centroid) @ entry.directions.T
+                block[rows] = _losses(proj, entry, model.loss).max(axis=1) / entry.size
         assert np.array_equal(score(model, X), want)
 
 
