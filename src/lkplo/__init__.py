@@ -23,10 +23,8 @@ from .evaluation import (
     ExperimentReport,
     Method,
     Protocol,
-    SearchSpace,
     StratificationError,
     evaluate_method,
-    make_method,
     random_search,
     roc_auc,
     run_ablation,
@@ -39,7 +37,6 @@ from .kernel_feature import (
     center_gram,
     fit_kpca,
     gram_matrix,
-    rbf_kernel,
     transform,
 )
 from .plo import (
@@ -51,13 +48,8 @@ from .plo import (
     fit,
     gen_directions,
     load_model,
-    local_score,
-    mad,
-    median,
-    robust_z_loss,
     save_model,
     score,
-    svm_like_loss,
 )
 
 __version__ = "0.1.0"

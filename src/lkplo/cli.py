@@ -9,6 +9,7 @@ unknown keys are rejected.
 
 import argparse
 import configparser
+import math
 import sys
 
 import numpy as np
@@ -33,7 +34,8 @@ def _load_dataset(spec, seed):
     return data_mod.load_csv(spec)
 
 
-def _fit_config_from_args(args):
+def cmd_fit(args):
+    dataset = data_mod.load_csv(args.data)
     loss = plo_mod.LossSpec(args.loss, args.c if args.loss == "svm_like" else None)
     dc = plo_mod.DirectionConfig(
         n_random=args.n_random,
@@ -41,7 +43,7 @@ def _fit_config_from_args(args):
         n_one_point=args.n_one_point,
         n_two_points=args.n_two_points,
     )
-    return plo_mod.FitConfig(
+    config = plo_mod.FitConfig(
         variant=args.variant,
         loss=loss,
         gamma=args.gamma,
@@ -50,17 +52,12 @@ def _fit_config_from_args(args):
         direction_config=dc,
         seed=args.seed,
     )
-
-
-def cmd_fit(args):
-    dataset = data_mod.load_csv(args.data)
-    config = _fit_config_from_args(args)
     model = plo_mod.fit(dataset.X, config)
     plo_mod.save_model(model, args.out)
-    n_dirs = sum(len(e.directions) for e in model.per_cluster)
+    n_dirs = sum(len(u) for u in model.directions)
     q = model.kpca.q if model.kpca is not None else model.d
     print(
-        f"fit variant={model.variant} q={q} k={model.clusters.k} "
+        f"fit variant={model.variant} q={q} k={len(model.centroids)} "
         f"directions={n_dirs} -> {args.out}"
     )
     return 0
@@ -80,38 +77,24 @@ def cmd_score(args):
 
 def cmd_benchmark(args):
     dataset = _load_dataset(args.data, args.seed)
-    try:
-        method = eval_mod.METHODS[args.method]()
-    except KeyError:
-        raise ValueError(
-            f"unknown method {args.method!r}; choices: {sorted(eval_mod.METHODS)}"
-        ) from None
+    method = eval_mod.METHODS[args.method]()
     protocol = eval_mod.Protocol(
         k_folds=args.folds, n_trials=args.trials, seed=args.seed
     )
     report = eval_mod.evaluate_method(dataset, method, protocol)
-    eval_mod.write_reports(
-        [report], json_path=args.out + ".json", csv_path=args.out + ".csv"
-    )
+    eval_mod.write_reports([report], args.out)
     print(f"{report.dataset} {report.method}: {report.mean:.3f} ± {report.std:.3f}")
     return 0
 
 
 def cmd_ablation(args):
-    datasets = []
-    if args.data:
-        for spec in args.data:
-            datasets.append(_load_dataset(spec, args.seed))
-    else:
-        for name in ("three_gaussians", "inside_outside", "moons"):
-            datasets.append(data_mod.SYNTHETIC_GENERATORS[name](args.seed))
+    specs = args.data or [f"synth:{name}" for name in data_mod.SYNTHETIC_GENERATORS]
+    datasets = [_load_dataset(spec, args.seed) for spec in specs]
     protocol = eval_mod.Protocol(
         k_folds=args.folds, n_trials=args.trials, seed=args.seed
     )
     reports = eval_mod.run_ablation(datasets, protocol)
-    eval_mod.write_reports(
-        reports, json_path=args.out + ".json", csv_path=args.out + ".csv"
-    )
+    eval_mod.write_reports(reports, args.out)
     header = f"{'dataset':<18}{'method':<12}{'mean':>8}{'std':>8}"
     print(header)
     for r in reports:
@@ -120,25 +103,27 @@ def cmd_ablation(args):
 
 
 def cmd_gen(args):
-    try:
-        gen = data_mod.SYNTHETIC_GENERATORS[args.name]
-    except KeyError:
-        raise ValueError(
-            f"unknown synthetic dataset {args.name!r}; "
-            f"choices: {sorted(data_mod.SYNTHETIC_GENERATORS)}"
-        ) from None
-    dataset = gen(args.seed)
+    dataset = data_mod.SYNTHETIC_GENERATORS[args.name](args.seed)
     data_mod.save_csv(dataset, args.out)
     print(f"wrote {dataset.name}: {len(dataset.y)} rows -> {args.out}")
     return 0
 
 
 def cmd_boundary_grid(args):
+    try:
+        xmin, xmax, ymin, ymax = (float(v) for v in args.bounds.split(","))
+    except ValueError:  # not four numbers
+        xmin = xmax = ymin = ymax = math.nan
+    finite = all(math.isfinite(v) for v in (xmin, xmax, ymin, ymax))
+    if not (finite and xmin < xmax and ymin < ymax):
+        raise ValueError("--bounds must be four finite numbers xmin,xmax,ymin,ymax "
+                         f"with xmin < xmax and ymin < ymax, got {args.bounds!r}")
+    r = args.resolution
+    if r < 1:
+        raise ValueError(f"--resolution must be >= 1, got {r}")
     model = plo_mod.load_model(args.model)
     if model.d != 2:
         raise ValueError(f"boundary grid needs a 2-D model, got d={model.d}")
-    xmin, xmax, ymin, ymax = (float(v) for v in args.bounds.split(","))
-    r = args.resolution
     xs = np.linspace(xmin, xmax, r)
     ys = np.linspace(ymin, ymax, r)
     # Row-major: x varies slowest, y fastest.

@@ -21,7 +21,6 @@ class InvalidKError(ValueError):
 
 @dataclass
 class ClusterModel:
-    k: int
     centroids: np.ndarray   # (k, q)
     sizes: np.ndarray       # (k,), all >= 1
     membership: np.ndarray  # (N,) cluster indices
@@ -103,20 +102,20 @@ def _cluster_means(F, labels, k):
     return sums.reshape(k, q) / np.bincount(labels, minlength=k)[:, None]
 
 
-def _lloyd(F, centers, max_iter=MAX_ITER, tol=SHIFT_TOL):
+def _lloyd(F, centers):
     """One Lloyd run; returns (centroids, labels, inertia, inertia_history)."""
     k = centers.shape[0]
     f_sq = (F * F).sum(axis=1)
     history = []
     labels, d2 = _assign(F, f_sq, centers)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         _repair_empty(F, centers, labels, d2, k)
         history.append(float(d2.sum()))
         new_centers = _cluster_means(F, labels, k)
         shift = np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max()
         centers = new_centers
         labels, d2 = _assign(F, f_sq, centers)
-        if shift < tol:
+        if shift < SHIFT_TOL:
             break
     _repair_empty(F, centers, labels, d2, k)
     # Final means so each centroid is exactly its members' mean; labels are
@@ -147,7 +146,6 @@ def kmeans_fit(F, k: int, seed: int, n_init: int = N_INIT) -> ClusterModel:
     centers, labels, inertia = best
     sizes = np.bincount(labels, minlength=k)
     return ClusterModel(
-        k=k,
         centroids=centers,
         sizes=sizes,
         membership=labels,
@@ -155,19 +153,17 @@ def kmeans_fit(F, k: int, seed: int, n_init: int = N_INIT) -> ClusterModel:
     )
 
 
-def assign_nearest(model: ClusterModel, f):
-    """Index of the nearest centroid; ties break to the lowest index.
+def assign_nearest(centroids, F):
+    """Index of the nearest of the (k, q) centroids for each row of the
+    (M, q) batch F; ties break to the lowest index.
 
-    f is one vector of length q (returns an int) or an (M, q) batch
-    (returns an (M,) index array). Each squared distance is summed over
-    the contiguous feature axis, so a batch row gets exactly the index
-    the single-vector call gives it.
+    Each squared distance is summed over the contiguous feature axis, so
+    a row gets exactly the index a scan over the centroids gives it.
     """
-    f = np.asarray(f, dtype=float)
-    q = model.centroids.shape[1]
-    if f.ndim not in (1, 2) or f.shape[-1] != q:
-        raise ValueError(f"expected vector of length {q} or (M, {q}) batch, got {f.shape}")
-    diff = f[..., None, :] - model.centroids
+    F = np.asarray(F, dtype=float)
+    q = centroids.shape[1]
+    if F.ndim != 2 or F.shape[1] != q:
+        raise ValueError(f"expected (M, {q}) batch, got {F.shape}")
+    diff = F[:, None, :] - centroids
     d2 = np.square(diff, out=diff).sum(axis=-1)
-    nearest = np.argmin(d2, axis=-1)
-    return int(nearest) if f.ndim == 1 else nearest
+    return np.argmin(d2, axis=-1)

@@ -80,18 +80,14 @@ def save_csv(dataset: Dataset, path):
 @dataclass
 class Standardizer:
     means: np.ndarray
-    stds: np.ndarray           # divisor; zero-variance features use 1
-    zero_variance: np.ndarray  # bool flags
+    stds: np.ndarray  # divisor; zero-variance features use 1
 
 
 def fit_standardizer(X_train) -> Standardizer:
     X_train = np.asarray(X_train, dtype=float)
     means = X_train.mean(axis=0)
     stds = X_train.std(axis=0)
-    zero = stds == 0
-    return Standardizer(
-        means=means, stds=np.where(zero, 1.0, stds), zero_variance=zero
-    )
+    return Standardizer(means=means, stds=np.where(stds == 0, 1.0, stds))
 
 
 def apply_standardizer(standardizer: Standardizer, X) -> np.ndarray:

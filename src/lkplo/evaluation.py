@@ -11,30 +11,28 @@ model is fit on, never of the evaluated rows.
 
 import json
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
 from .data import Dataset, apply_standardizer, fit_standardizer
-from .plo import DirectionConfig, FitConfig, LossSpec, fit as plo_fit, score as plo_score
+from .plo import FitConfig, LossSpec, _derive_seed, fit as plo_fit, score as plo_score
+
+# The tuning split is one of this many stratified inner folds of the
+# outer-train rows (75/25), held out for validation.
+INNER_FOLDS = 4
 
 
 class StratificationError(ValueError):
     """Raised when a class has too few members for the requested folds."""
 
 
-@dataclass
-class FoldPlan:
-    k: int
-    assignments: np.ndarray  # (N,) fold indices
-    seed: int
-
-
-def stratified_kfold(y, k: int, seed: int) -> FoldPlan:
-    """Shuffle within each class, then assign round-robin, so per-fold
-    class counts are within one sample of perfect proportionality."""
+def stratified_kfold(y, k: int, seed: int) -> np.ndarray:
+    """Fold index of each row. Shuffles within each class, then assigns
+    round-robin, so per-fold class counts are within one sample of
+    perfect proportionality."""
     y = np.asarray(y)
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -48,7 +46,7 @@ def stratified_kfold(y, k: int, seed: int) -> FoldPlan:
             )
         rng.shuffle(idx)
         assignments[idx] = np.arange(len(idx)) % k
-    return FoldPlan(k=k, assignments=assignments, seed=seed)
+    return assignments
 
 
 def _average_ranks(s):
@@ -84,39 +82,24 @@ def roc_auc(scores, y) -> float:
 
 @dataclass(frozen=True)
 class ParamSpec:
-    kind: str  # "int" | "uniform" | "loguniform" | "categorical"
-    lo: Optional[float] = None
-    hi: Optional[float] = None
-    choices: Optional[tuple] = None
+    kind: str  # "int" | "uniform" | "loguniform"
+    lo: float
+    hi: float
 
     def __post_init__(self):
-        if self.kind in ("int", "uniform", "loguniform"):
-            if not self.lo < self.hi:
-                raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
-            if self.kind == "loguniform" and not self.lo > 0:
-                raise ValueError("loguniform requires lo > 0")
-        elif self.kind == "categorical":
-            if not self.choices:
-                raise ValueError("categorical requires choices")
-        else:
+        if self.kind not in ("int", "uniform", "loguniform"):
             raise ValueError(f"unknown param kind {self.kind!r}")
+        if not self.lo < self.hi:
+            raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
+        if self.kind == "loguniform" and not self.lo > 0:
+            raise ValueError("loguniform requires lo > 0")
 
     def sample(self, rng):
         if self.kind == "int":
             return int(rng.integers(int(self.lo), int(self.hi) + 1))
         if self.kind == "uniform":
             return float(rng.uniform(self.lo, self.hi))
-        if self.kind == "loguniform":
-            return float(np.exp(rng.uniform(np.log(self.lo), np.log(self.hi))))
-        return self.choices[int(rng.integers(len(self.choices)))]
-
-
-@dataclass
-class SearchSpace:
-    entries: dict  # name -> ParamSpec
-
-    def sample(self, rng) -> dict:
-        return {name: spec.sample(rng) for name, spec in self.entries.items()}
+        return float(np.exp(rng.uniform(np.log(self.lo), np.log(self.hi))))
 
 
 @dataclass
@@ -124,24 +107,24 @@ class Trial:
     index: int
     params: dict
     value: float
-    error: Optional[str] = None
+    error: Optional[str]
 
 
-def random_search(space: SearchSpace, n_trials: int, seed: int,
+def random_search(space: dict, n_trials: int, seed: int,
                   objective: Callable[[dict], float]):
-    """Uniform random sampling with per-trial derived seeds; returns
-    (best params, trial log). A trial whose objective raises a
-    ValueError (which covers the degenerate-fit errors) or a LinAlgError
-    scores -inf and the search continues; any other exception
-    propagates. Raises ValueError when every trial failed. Ties go to
-    the earliest trial."""
+    """Uniform random sampling of space (name -> ParamSpec) with
+    per-trial derived seeds; returns (best params, trial log). A trial
+    whose objective raises a ValueError (which covers the degenerate-fit
+    errors) or a LinAlgError scores -inf and the search continues; any
+    other exception propagates. Raises ValueError when every trial
+    failed. Ties go to the earliest trial."""
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     trials = []
     best = None
     for t in range(n_trials):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t,)))
-        params = space.sample(rng)
+        params = {name: spec.sample(rng) for name, spec in space.items()}
         try:
             value = float(objective(params))
             error = None
@@ -164,14 +147,15 @@ def random_search(space: SearchSpace, n_trials: int, seed: int,
 @dataclass
 class Method:
     """A tunable detector: build(params, seed) returns an estimator with
-    fit(X) -> fitted state and score(fitted, X) -> outlyingness."""
+    fit(X) -> itself and score(X) -> outlyingness. space maps each tuned
+    parameter to its ParamSpec; an empty space (or None) tunes nothing."""
 
     name: str
-    space: Optional[SearchSpace]
+    space: Optional[dict]
     build: Callable[[dict, int], "object"]
 
 
-class LkploEstimator:
+class _Detector:
     """Adapter from flat search parameters to the core fit/score calls.
 
     k is clamped to the training size so the search never aborts on
@@ -179,62 +163,47 @@ class LkploEstimator:
     """
 
     def __init__(self, variant, loss_kind, params, seed):
-        self.variant = variant
-        self.loss_kind = loss_kind
-        self.params = params
-        self.seed = seed
-        self.model = None
+        self.config = FitConfig(
+            variant=variant,
+            loss=LossSpec(loss_kind, params.get("c")),
+            gamma=float(params.get("gamma", 1.0)),
+            q=int(params.get("q", 10)),
+            k=int(params.get("k", 1)),
+            seed=seed,
+        )
 
     def fit(self, X):
-        p = self.params
-        loss = LossSpec(self.loss_kind, p.get("c"))
-        k = min(int(p.get("k", 1)), len(X))
-        config = FitConfig(
-            variant=self.variant,
-            loss=loss,
-            gamma=float(p.get("gamma", 1.0)),
-            q=int(p.get("q", 10)),
-            k=k,
-            direction_config=DirectionConfig(),
-            seed=self.seed,
-        )
-        self.model = plo_fit(X, config)
+        self.model = plo_fit(X, replace(self.config, k=min(self.config.k, len(X))))
         return self
 
     def score(self, X):
         return plo_score(self.model, X)
 
 
-def default_space(variant: str, loss_kind: str, k_hi: int = 30) -> SearchSpace:
+def _method(name: str, variant: str, loss_kind: str) -> Method:
     """Hyperparameter ranges: K in [2, 30], gamma log-uniform in
     [1e-4, 1e1], q in [5, 30], c uniform in [1, 5]; entries appear only
     where the variant uses them."""
-    entries = {}
+    space = {}
     if variant in ("kplo", "lkplo"):
-        entries["gamma"] = ParamSpec("loguniform", 1e-4, 1e1)
-        entries["q"] = ParamSpec("int", 5, 30)
+        space["gamma"] = ParamSpec("loguniform", 1e-4, 1e1)
+        space["q"] = ParamSpec("int", 5, 30)
     if variant == "lkplo":
-        entries["k"] = ParamSpec("int", 2, k_hi)
+        space["k"] = ParamSpec("int", 2, 30)
     if loss_kind == "svm_like":
-        entries["c"] = ParamSpec("uniform", 1.0, 5.0)
-    return SearchSpace(entries)
+        space["c"] = ParamSpec("uniform", 1.0, 5.0)
+    return Method(name, space, partial(_Detector, variant, loss_kind))
 
 
-def make_method(variant: str, loss_kind: str = "svm_like") -> Method:
-    suffix = {"svm_like": "svm", "robust_z": "rz"}[loss_kind]
-    name = variant if variant in ("plo", "kplo") else f"lkplo-{suffix}"
-    return Method(
-        name=name,
-        space=default_space(variant, loss_kind),
-        build=lambda params, seed: LkploEstimator(variant, loss_kind, params, seed),
-    )
-
-
+# Method name, detector variant, loss kind.
+METHOD_TABLE = (
+    ("plo", "plo", "svm_like"),
+    ("kplo", "kplo", "svm_like"),
+    ("lkplo-svm", "lkplo", "svm_like"),
+    ("lkplo-rz", "lkplo", "robust_z"),
+)
 METHODS = {
-    "plo": lambda: make_method("plo"),
-    "kplo": lambda: make_method("kplo"),
-    "lkplo-svm": lambda: make_method("lkplo", "svm_like"),
-    "lkplo-rz": lambda: make_method("lkplo", "robust_z"),
+    name: partial(_method, name, variant, loss) for name, variant, loss in METHOD_TABLE
 }
 
 
@@ -245,7 +214,6 @@ METHODS = {
 class Protocol:
     k_folds: int = 5
     n_trials: int = 50
-    val_fraction: float = 0.25
     seed: int = 42
 
 
@@ -257,20 +225,17 @@ class ExperimentReport:
     mean: float
     std: float  # population std over folds
     fold_params: list
-    wall_clock: float = 0.0
-    trial_logs: list = field(default_factory=list)
+    trial_logs: list
 
-    def to_dict(self, include_trials=True):
-        d = {
+    def to_dict(self):
+        return {
             "dataset": self.dataset,
             "method": self.method,
             "fold_aucs": self.fold_aucs,
             "mean": self.mean,
             "std": self.std,
             "fold_params": self.fold_params,
-        }
-        if include_trials:
-            d["trials"] = [
+            "trials": [
                 [
                     {"index": t.index, "params": t.params,
                      "value": None if math.isinf(t.value) else t.value,
@@ -278,12 +243,8 @@ class ExperimentReport:
                     for t in fold_log
                 ]
                 for fold_log in self.trial_logs
-            ]
-        return d
-
-
-def _derive_seed(seed: int, *key) -> int:
-    return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1)[0])
+            ],
+        }
 
 
 def _fit_fold(dataset: Dataset, train_idx, method: Method, protocol: Protocol,
@@ -296,11 +257,10 @@ def _fit_fold(dataset: Dataset, train_idx, method: Method, protocol: Protocol,
     X_train, y_train = dataset.X[train_idx], dataset.y[train_idx]
     fit_seed = _derive_seed(protocol.seed, fold, 1)
 
-    if method.space is not None and method.space.entries:
-        inner_k = max(2, round(1.0 / protocol.val_fraction))
-        inner = stratified_kfold(y_train, inner_k,
+    if method.space:
+        inner = stratified_kfold(y_train, INNER_FOLDS,
                                  _derive_seed(protocol.seed, fold, 0))
-        val_mask = inner.assignments == 0
+        val_mask = inner == 0
         scaler = fit_standardizer(X_train[~val_mask])
         X_fit = apply_standardizer(scaler, X_train[~val_mask])
         X_val = apply_standardizer(scaler, X_train[val_mask])
@@ -327,18 +287,17 @@ def _fit_fold(dataset: Dataset, train_idx, method: Method, protocol: Protocol,
 
 def evaluate_method(dataset: Dataset, method: Method,
                     protocol: Protocol = Protocol()) -> ExperimentReport:
-    start = time.perf_counter()
     classes = np.unique(dataset.y)
     if len(classes) < 2:
         raise StratificationError(
             f"dataset {dataset.name!r} has a single class; evaluation "
             "needs both inliers and outliers"
         )
-    plan = stratified_kfold(dataset.y, protocol.k_folds, protocol.seed)
+    folds = stratified_kfold(dataset.y, protocol.k_folds, protocol.seed)
 
     aucs, fold_params, trial_logs = [], [], []
     for fold in range(protocol.k_folds):
-        test_mask = plan.assignments == fold
+        test_mask = folds == fold
         train_idx = np.flatnonzero(~test_mask)
         est, scaler, best, trials = _fit_fold(
             dataset, train_idx, method, protocol, fold
@@ -356,23 +315,20 @@ def evaluate_method(dataset: Dataset, method: Method,
         mean=float(aucs_arr.mean()),
         std=float(aucs_arr.std()),
         fold_params=fold_params,
-        wall_clock=time.perf_counter() - start,
         trial_logs=trial_logs,
     )
 
 
-ABLATION_VARIANTS = ("plo", "kplo", "lkplo")
+ABLATION_METHODS = ("plo", "kplo", "lkplo-svm")
 
 
-def run_ablation(datasets, protocol: Protocol = Protocol(),
-                 loss_kind: str = "svm_like"):
-    """One report per {plo, kplo, lkplo} x dataset, all under the same
-    protocol and seed."""
+def run_ablation(datasets, protocol: Protocol = Protocol()):
+    """One report per {plo, kplo, lkplo-svm} x dataset, all under the
+    same protocol and seed."""
     reports = []
     for dataset in datasets:
-        for variant in ABLATION_VARIANTS:
-            method = make_method(variant, loss_kind)
-            reports.append(evaluate_method(dataset, method, protocol))
+        for name in ABLATION_METHODS:
+            reports.append(evaluate_method(dataset, METHODS[name](), protocol))
     return reports
 
 
@@ -388,15 +344,14 @@ def report_to_csv_row(report: ExperimentReport) -> str:
     )
 
 
-def write_reports(reports, json_path=None, csv_path=None):
-    """JSON carries the full trial logs; CSV is the flat summary. Wall
-    clock is deliberately not serialized so reruns are byte-identical."""
-    if json_path is not None:
-        with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump([r.to_dict() for r in reports], fh, indent=2)
-            fh.write("\n")
-    if csv_path is not None:
-        with open(csv_path, "w", encoding="utf-8") as fh:
-            fh.write(CSV_COLUMNS + "\n")
-            for r in reports:
-                fh.write(report_to_csv_row(r) + "\n")
+def write_reports(reports, prefix):
+    """Writes <prefix>.json, with the full trial logs, and <prefix>.csv,
+    the flat summary. Wall clock is deliberately not serialized so reruns
+    are byte-identical."""
+    with open(prefix + ".json", "w", encoding="utf-8") as fh:
+        json.dump([r.to_dict() for r in reports], fh, indent=2)
+        fh.write("\n")
+    with open(prefix + ".csv", "w", encoding="utf-8") as fh:
+        fh.write(CSV_COLUMNS + "\n")
+        for r in reports:
+            fh.write(report_to_csv_row(r) + "\n")

@@ -7,7 +7,7 @@ convention; new points are projected with the matching 1/sqrt(lambda)
 formula so that both agree exactly on the training set.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,28 +41,16 @@ class KpcaModel:
     eigenvectors: np.ndarray      # (N, q), orthonormal columns
     gram_row_means: np.ndarray    # (N,)
     gram_total_mean: float
-    kernel: str = field(default="rbf")  # "linear" exists only as a test hook
 
     def train_features(self) -> np.ndarray:
         """Training rows in feature space: f_i^(j) = sqrt(lambda_j) v_ij."""
         return self.eigenvectors * np.sqrt(self.eigenvalues)
 
 
-def rbf_kernel(x, y, params: KernelParams) -> float:
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    d = x - y
-    return float(np.exp(-params.gamma * np.dot(d, d)))
-
-
-def _cross_kernel(X, Y, params: KernelParams, kernel: str) -> np.ndarray:
-    """Kernel evaluations between the rows of X (M, d) and Y (N, d)."""
+def _cross_kernel(X, Y, params: KernelParams) -> np.ndarray:
+    """RBF kernel evaluations between the rows of X (M, d) and Y (N, d)."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    if kernel == "linear":
-        return X @ Y.T
     sq = (X * X).sum(axis=1)[:, None] + (Y * Y).sum(axis=1)[None, :]
     cross = X @ Y.T
     cross *= 2.0
@@ -76,7 +64,7 @@ def gram_matrix(X, params: KernelParams) -> np.ndarray:
     """N x N RBF Gram matrix, symmetric by construction (upper triangle
     mirrored), unit diagonal."""
     X = np.asarray(X, dtype=float)
-    K = _cross_kernel(X, X, params, "rbf")
+    K = _cross_kernel(X, X, params)
     np.copyto(K, K.T.copy(), where=np.tri(K.shape[0], k=-1, dtype=bool))
     np.fill_diagonal(K, 1.0)
     return K
@@ -91,40 +79,59 @@ def center_gram(K):
     K = np.asarray(K, dtype=float)
     row_means = K.mean(axis=1)
     total_mean = float(K.mean())
-    Kbar = K - row_means[:, None] - row_means[None, :] + total_mean
-    Kbar = 0.5 * (Kbar + Kbar.T)
+    Kbar = K - row_means[:, None]
+    Kbar -= row_means[None, :]
+    Kbar += total_mean
+    # Kbar <- 0.5 * (Kbar + Kbar.T) in place, one pair of mirrored blocks
+    # at a time, so that no second N x N array is allocated.
+    b = 256  # rows per block
+    for i in range(0, len(Kbar), b):
+        for j in range(i, len(Kbar), b):
+            s = 0.5 * (Kbar[i:i + b, j:j + b] + Kbar[j:j + b, i:i + b].T)
+            Kbar[i:i + b, j:j + b] = s
+            Kbar[j:j + b, i:i + b] = s.T
     return Kbar, row_means, total_mean
 
 
-def fit_kpca(X, params: KernelParams, q_requested: int, kernel: str = "rbf") -> KpcaModel:
-    """Fit the kernel feature map, keeping min(q_requested, rank) components.
+def fit_kpca(X, params: KernelParams, q_requested: int) -> KpcaModel:
+    """Fit the RBF kernel feature map on the rows of X; see kpca_from_gram."""
+    X = np.asarray(X, dtype=float)
+    return kpca_from_gram(gram_matrix(X, params), X, params, q_requested)
+
+
+def kpca_from_gram(K, X, params: KernelParams, q_requested: int) -> KpcaModel:
+    """The kernel feature map of the training rows X from their Gram
+    matrix K, keeping min(q_requested, rank) components.
 
     q_requested beyond the usable rank silently clamps so hyperparameter
     search never aborts on small inputs. Raises DegenerateKernelError when
     every eigenvalue sits below the floor (e.g. all points identical).
+    The training features come from K alone, so any symmetric K (such as
+    the linear X @ X.T) gives that kernel's; transform always evaluates
+    the RBF kernel of params.
     """
-    X = np.asarray(X, dtype=float)
-    n = X.shape[0]
+    n = K.shape[0]
     if n < 2:
         raise ValueError("need at least 2 training points")
     if q_requested < 1:
         raise ValueError("q_requested must be >= 1")
-
-    if kernel == "rbf":
-        K = gram_matrix(X, params)
-    else:
-        K = _cross_kernel(X, X, params, kernel)
     Kbar, row_means, total_mean = center_gram(K)
+    del K  # frees fit_kpca's Gram matrix: a fit holds two N x N arrays at most
 
     # Imported here so that loading and scoring a model never loads scipy.
     from scipy.linalg import eigh
 
     # Only the top eigenpairs are kept, so solve only those (LAPACK's
-    # dsyevr), in place: Kbar is a temporary. The rank floor needs just the
+    # dsyevr), in place: Kbar is a temporary. Kbar is exactly symmetric,
+    # so Kbar.T is the same matrix in the column-major order LAPACK works
+    # in, and solving it needs no copy. The rank floor needs just the
     # largest eigenvalue, which the subset contains.
     top = min(q_requested, n)
-    eigvals, eigvecs = eigh(Kbar, subset_by_index=[n - top, n - 1],
+    eigvals, eigvecs = eigh(Kbar.T, subset_by_index=[n - top, n - 1],
                             driver="evr", overwrite_a=True)
+    # Freed before the model's arrays are allocated, so that none of them
+    # sits above it in the heap and keeps its memory from the OS.
+    del Kbar
     order = np.argsort(eigvals)[::-1]
     eigvals = eigvals[order]
     eigvecs = eigvecs[:, order]
@@ -153,7 +160,6 @@ def fit_kpca(X, params: KernelParams, q_requested: int, kernel: str = "rbf") -> 
         eigenvectors=eigvecs,
         gram_row_means=row_means,
         gram_total_mean=total_mean,
-        kernel=kernel,
     )
 
 
@@ -168,9 +174,7 @@ def transform(model: KpcaModel, Xnew) -> np.ndarray:
         raise ValueError(
             f"expected (M, {model.train_points.shape[1]}) input, got {Xnew.shape}"
         )
-    if Xnew.shape[0] == 0:
-        return np.empty((0, model.q))
-    Kx = _cross_kernel(Xnew, model.train_points, model.params, model.kernel)
+    Kx = _cross_kernel(Xnew, model.train_points, model.params)
     Kx_bar = (
         Kx
         - Kx.mean(axis=1)[:, None]

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .clustering import ClusterModel, assign_nearest, kmeans_fit
+from .clustering import assign_nearest, kmeans_fit
 from .kernel_feature import KernelParams, KpcaModel, fit_kpca, transform
 
 MAD_CONSISTENCY = 1.4826
@@ -23,7 +23,7 @@ MAD_CONSISTENCY = 1.4826
 # floor keeps the direction set identical across points.
 MAD_FLOOR = 1e-9
 DIRECTION_NORM_FLOOR = 1e-12
-MODEL_FORMAT = "lkplo-model-v1"
+MODEL_FORMAT = "lkplo-model-v2"
 # Byte budget for one score block's widest temporary (about L2-sized):
 # each (B, N) kernel, (B, k, q) assignment and (B, D) projection array
 # is allocated per block of B rows, not per batch.
@@ -35,21 +35,6 @@ LOSS_KINDS = ("robust_z", "svm_like")
 
 class DegenerateDirectionsError(ValueError):
     """Raised when no usable projection direction can be generated."""
-
-
-def median(z) -> float:
-    z = np.asarray(z, dtype=float)
-    if z.size == 0:
-        raise ValueError("median of empty sample")
-    return float(np.median(z))
-
-
-def mad(z) -> float:
-    """Median absolute deviation with the 1.4826 consistency factor."""
-    z = np.asarray(z, dtype=float)
-    if z.size == 0:
-        raise ValueError("MAD of empty sample")
-    return MAD_CONSISTENCY * float(np.median(np.abs(z - np.median(z))))
 
 
 @dataclass(frozen=True)
@@ -75,44 +60,28 @@ class DirectionConfig:
     n_one_point: Optional[int] = None
     n_two_points: Optional[int] = None
 
-
-@dataclass(frozen=True)
-class ProjectionStats:
-    direction: np.ndarray  # unit q-vector
-    median_proj: float
-    mad_proj: float
-
-
-@dataclass
-class ClusterScorer:
-    """Per-cluster scoring record: centroid, size, and the direction
-    ensemble with its precomputed projection statistics (arrays aligned
-    along the direction axis)."""
-
-    centroid: np.ndarray    # (q,)
-    size: int
-    directions: np.ndarray  # (D, q), unit rows
-    medians: np.ndarray     # (D,)
-    mads: np.ndarray        # (D,)
-
-    def stats(self, i: int) -> ProjectionStats:
-        return ProjectionStats(
-            direction=self.directions[i],
-            median_proj=float(self.medians[i]),
-            mad_proj=float(self.mads[i]),
-        )
+    def __post_init__(self):
+        for name in ("n_random", "n_one_point", "n_two_points"):
+            count = getattr(self, name)
+            if count is not None and count < 0:
+                raise ValueError(f"DirectionConfig.{name} must be >= 0, got {count}")
 
 
 @dataclass
 class LkploModel:
+    """What score reads, and nothing else. Cluster j is centroids[j] with
+    size sizes[j] and the direction ensemble directions[j], whose
+    projection medians and MADs are medians[j] and mads[j]."""
+
     variant: str                     # "plo" | "kplo" | "lkplo"
     kpca: Optional[KpcaModel]        # absent for plo
-    clusters: ClusterModel
     loss: LossSpec
-    per_cluster: list                # list[ClusterScorer]
-    direction_config: DirectionConfig
-    seed: int
-    d: int = 0                       # input dimensionality
+    centroids: np.ndarray            # (k, q)
+    sizes: np.ndarray                # (k,) cluster sizes N_k, all >= 1
+    directions: list                 # k arrays (D_j, q), unit rows
+    medians: list                    # k arrays (D_j,)
+    mads: list                       # k arrays (D_j,)
+    d: int                           # input dimensionality
 
 
 @dataclass(frozen=True)
@@ -194,34 +163,12 @@ def gen_directions(F_centered, config: DirectionConfig, seed: int) -> np.ndarray
     return directions
 
 
-def robust_z_loss(u, f_prime, stats: ProjectionStats) -> float:
-    """|u.f' - median| / MAD with the MAD floored (Stahel-Donoho form)."""
-    p = float(np.dot(u, f_prime))
-    return abs(p - stats.median_proj) / max(stats.mad_proj, MAD_FLOOR)
-
-
-def svm_like_loss(u, f_prime, stats: ProjectionStats, c: float) -> float:
-    """max(0, |u.f'| - c * MAD): exceedance of a robust margin.
-
-    The projection is of the centroid-centered point, not median-shifted.
-    """
-    p = float(np.dot(u, f_prime))
-    return max(0.0, abs(p) - c * stats.mad_proj)
-
-
-def _losses(proj, entry: ClusterScorer, loss: LossSpec):
-    """Vectorized losses for projections proj of shape (..., D)."""
+def _losses(proj, medians, mads, loss: LossSpec):
+    """Vectorized losses for projections proj of shape (..., D) along
+    directions whose training projections have these medians and MADs."""
     if loss.kind == "robust_z":
-        return np.abs(proj - entry.medians) / np.maximum(entry.mads, MAD_FLOOR)
-    return np.maximum(0.0, np.abs(proj) - loss.c * entry.mads)
-
-
-def local_score(f_new, entry: ClusterScorer, loss: LossSpec) -> float:
-    """Maximum loss over the cluster's direction ensemble (centered at
-    the cluster centroid)."""
-    f_prime = np.asarray(f_new, dtype=float) - entry.centroid
-    proj = entry.directions @ f_prime
-    return float(_losses(proj, entry, loss).max())
+        return np.abs(proj - medians) / np.maximum(mads, MAD_FLOOR)
+    return np.maximum(0.0, np.abs(proj) - loss.c * mads)
 
 
 def _check_finite(X, what):
@@ -232,24 +179,8 @@ def _check_finite(X, what):
 
 
 def _derive_seed(seed: int, *key) -> int:
+    """A seed drawn from seed's SeedSequence child at the path key."""
     return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1)[0])
-
-
-def _build_cluster_scorer(members, centroid, config, seed):
-    centered = members - centroid
-    directions = gen_directions(centered, config, seed)
-    proj = centered @ directions.T  # (n_k, D)
-    medians = np.median(proj, axis=0)
-    mads = MAD_CONSISTENCY * np.median(
-        np.abs(proj - medians[None, :]), axis=0
-    )
-    return ClusterScorer(
-        centroid=centroid,
-        size=len(members),
-        directions=directions,
-        medians=medians,
-        mads=mads,
-    )
 
 
 def fit(X, config: FitConfig) -> LkploModel:
@@ -272,39 +203,36 @@ def fit(X, config: FitConfig) -> LkploModel:
         kpca = fit_kpca(X, KernelParams(config.gamma), config.q)
         F = kpca.train_features()
 
-    n = F.shape[0]
     if config.variant == "lkplo":
         clusters = kmeans_fit(F, config.k, config.seed)
+        centroids, membership = clusters.centroids, clusters.membership
     else:
-        centroid = F.mean(axis=0)
-        clusters = ClusterModel(
-            k=1,
-            centroids=centroid[None, :],
-            sizes=np.array([n]),
-            membership=np.zeros(n, dtype=int),
-            inertia=float(((F - centroid) ** 2).sum()),
-        )
+        centroids = F.mean(axis=0)[None, :]
+        membership = np.zeros(len(F), dtype=int)
 
-    per_cluster = []
-    for j in range(clusters.k):
-        members = F[clusters.membership == j]
-        per_cluster.append(
-            _build_cluster_scorer(
-                members,
-                clusters.centroids[j],
-                config.direction_config,
-                _derive_seed(config.seed, j),
-            )
+    directions, medians, mads = [], [], []
+    for j, centroid in enumerate(centroids):
+        centered = F[membership == j] - centroid
+        u = gen_directions(
+            centered, config.direction_config, _derive_seed(config.seed, j)
         )
+        proj = centered @ u.T  # (n_k, D)
+        median = np.median(proj, axis=0)
+        directions.append(u)
+        medians.append(median)
+        mads.append(MAD_CONSISTENCY * np.median(
+            np.abs(proj - median[None, :]), axis=0
+        ))
 
     return LkploModel(
         variant=config.variant,
         kpca=kpca,
-        clusters=clusters,
         loss=config.loss,
-        per_cluster=per_cluster,
-        direction_config=config.direction_config,
-        seed=config.seed,
+        centroids=centroids,
+        sizes=np.bincount(membership, minlength=len(centroids)),
+        directions=directions,
+        medians=medians,
+        mads=mads,
         d=X.shape[1],
     )
 
@@ -313,8 +241,8 @@ def _block_rows(model: LkploModel) -> int:
     """Rows per score block: SCORE_BLOCK_BYTES over the widest per-row
     temporary, the training size N (kernel rows), the direction count D
     (projections) or k * q (assignment differences)."""
-    widths = [len(e.directions) for e in model.per_cluster]
-    widths.append(model.clusters.centroids.size)
+    widths = [len(u) for u in model.directions]
+    widths.append(model.centroids.size)
     if model.kpca is not None:
         widths.append(len(model.kpca.train_points))
     return max(1, SCORE_BLOCK_BYTES // (8 * max(widths)))
@@ -327,15 +255,15 @@ def _score_block(model: LkploModel, X) -> np.ndarray:
     else:
         F = transform(model.kpca, X)
 
-    m = F.shape[0]
-    out = np.empty(m)
-    assign = assign_nearest(model.clusters, F)
-    for j, entry in enumerate(model.per_cluster):
+    out = np.empty(len(F))
+    assign = assign_nearest(model.centroids, F)
+    for j, u in enumerate(model.directions):
         rows = assign == j
         if not np.any(rows):
             continue
-        proj = (F[rows] - entry.centroid) @ entry.directions.T
-        out[rows] = _losses(proj, entry, model.loss).max(axis=1) / entry.size
+        proj = (F[rows] - model.centroids[j]) @ u.T
+        losses = _losses(proj, model.medians[j], model.mads[j], model.loss)
+        out[rows] = losses.max(axis=1) / model.sizes[j]
     return out
 
 
@@ -359,7 +287,7 @@ def score(model: LkploModel, Xnew) -> np.ndarray:
     return out
 
 
-# --- serialization (format "lkplo-model-v1") ---------------------------------
+# --- serialization (format "lkplo-model-v2") ---------------------------------
 
 
 def _arr(a):
@@ -367,35 +295,24 @@ def _arr(a):
 
 
 def model_to_dict(model: LkploModel) -> dict:
+    per_cluster = zip(model.directions, model.medians, model.mads)
     d = {
         "format": MODEL_FORMAT,
         "variant": model.variant,
         "loss": {"kind": model.loss.kind, "c": model.loss.c},
-        "direction_config": {
-            "n_random": model.direction_config.n_random,
-            "include_basis": model.direction_config.include_basis,
-            "n_one_point": model.direction_config.n_one_point,
-            "n_two_points": model.direction_config.n_two_points,
-        },
-        "seed": model.seed,
         "d": model.d,
+        # k is stored apart from the arrays so that a file whose arrays
+        # disagree on it names the one that is wrong.
         "clusters": {
-            "k": model.clusters.k,
-            "centroids": _arr(model.clusters.centroids),
-            "sizes": model.clusters.sizes.tolist(),
-            "membership": model.clusters.membership.tolist(),
-            "inertia": model.clusters.inertia,
+            "k": len(model.centroids),
+            "centroids": _arr(model.centroids),
+            "sizes": model.sizes.tolist(),
         },
         "per_cluster": [
-            {
-                "centroid": _arr(e.centroid),
-                "size": e.size,
-                "directions": _arr(e.directions),
-                "medians": _arr(e.medians),
-                "mads": _arr(e.mads),
-            }
-            for e in model.per_cluster
+            {"directions": _arr(u), "medians": _arr(m), "mads": _arr(s)}
+            for u, m, s in per_cluster
         ],
+        "kpca": None,
     }
     if model.kpca is not None:
         d["kpca"] = {
@@ -406,10 +323,7 @@ def model_to_dict(model: LkploModel) -> dict:
             "eigenvectors": _arr(model.kpca.eigenvectors),
             "gram_row_means": _arr(model.kpca.gram_row_means),
             "gram_total_mean": model.kpca.gram_total_mean,
-            "kernel": model.kpca.kernel,
         }
-    else:
-        d["kpca"] = None
     return d
 
 
@@ -423,9 +337,10 @@ def _check_shape(field, a, shape):
         raise ValueError(f"model field {field} has shape {a.shape}, expected {want}")
 
 
-def _check_model(model: LkploModel):
-    """Check every array score reads against d, q and k, so a malformed
-    model file fails at load, not halfway through a score batch."""
+def _check_model(model: LkploModel, k: int):
+    """Check every array score reads against d, q and the stored cluster
+    count k, so a malformed model file fails at load, not halfway through
+    a score batch. Fields are named by their path in the file."""
     q = model.d
     if model.kpca is not None:
         kpca = model.kpca
@@ -437,23 +352,20 @@ def _check_model(model: LkploModel):
         if not np.all(kpca.eigenvalues > 0):
             raise ValueError("model field kpca.eigenvalues has a value <= 0")
         _check_shape("kpca.gram_row_means", kpca.gram_row_means, (n,))
-    k = model.clusters.k
-    _check_shape("clusters.centroids", model.clusters.centroids, (k, q))
-    _check_shape("clusters.sizes", model.clusters.sizes, (k,))
-    if not np.all(model.clusters.sizes >= 1):
+    _check_shape("clusters.centroids", model.centroids, (k, q))
+    _check_shape("clusters.sizes", model.sizes, (k,))
+    if not np.all(model.sizes >= 1):
         raise ValueError("model field clusters.sizes has a value < 1")
-    if len(model.per_cluster) != k:
+    if len(model.directions) != k:
         raise ValueError(
-            f"model field per_cluster has {len(model.per_cluster)} entries, expected {k}"
+            f"model field per_cluster has {len(model.directions)} entries, expected {k}"
         )
-    for j, e in enumerate(model.per_cluster):
-        _check_shape(f"per_cluster[{j}].centroid", e.centroid, (q,))
-        _check_shape(f"per_cluster[{j}].directions", e.directions, (None, q))
-        n_dir = len(e.directions)
-        _check_shape(f"per_cluster[{j}].medians", e.medians, (n_dir,))
-        _check_shape(f"per_cluster[{j}].mads", e.mads, (n_dir,))
-        if not e.size >= 1:
-            raise ValueError(f"model field per_cluster[{j}].size is below 1")
+    per_cluster = zip(model.directions, model.medians, model.mads)
+    for j, (u, medians, mads) in enumerate(per_cluster):
+        _check_shape(f"per_cluster[{j}].directions", u, (None, q))
+        n_dir = len(u)
+        _check_shape(f"per_cluster[{j}].medians", medians, (n_dir,))
+        _check_shape(f"per_cluster[{j}].mads", mads, (n_dir,))
 
 
 def model_from_dict(d: dict) -> LkploModel:
@@ -470,43 +382,20 @@ def model_from_dict(d: dict) -> LkploModel:
             eigenvectors=np.asarray(kd["eigenvectors"], dtype=float),
             gram_row_means=np.asarray(kd["gram_row_means"], dtype=float),
             gram_total_mean=kd["gram_total_mean"],
-            kernel=kd["kernel"],
         )
     cd = d["clusters"]
-    clusters = ClusterModel(
-        k=cd["k"],
-        centroids=np.asarray(cd["centroids"], dtype=float),
-        sizes=np.asarray(cd["sizes"], dtype=int),
-        membership=np.asarray(cd["membership"], dtype=int),
-        inertia=cd["inertia"],
-    )
-    per_cluster = [
-        ClusterScorer(
-            centroid=np.asarray(e["centroid"], dtype=float),
-            size=e["size"],
-            directions=np.asarray(e["directions"], dtype=float),
-            medians=np.asarray(e["medians"], dtype=float),
-            mads=np.asarray(e["mads"], dtype=float),
-        )
-        for e in d["per_cluster"]
-    ]
-    dc = d["direction_config"]
     model = LkploModel(
         variant=d["variant"],
         kpca=kpca,
-        clusters=clusters,
         loss=LossSpec(kind=d["loss"]["kind"], c=d["loss"]["c"]),
-        per_cluster=per_cluster,
-        direction_config=DirectionConfig(
-            n_random=dc["n_random"],
-            include_basis=dc["include_basis"],
-            n_one_point=dc["n_one_point"],
-            n_two_points=dc["n_two_points"],
-        ),
-        seed=d["seed"],
+        centroids=np.asarray(cd["centroids"], dtype=float),
+        sizes=np.asarray(cd["sizes"], dtype=int),
+        directions=[np.asarray(e["directions"], dtype=float) for e in d["per_cluster"]],
+        medians=[np.asarray(e["medians"], dtype=float) for e in d["per_cluster"]],
+        mads=[np.asarray(e["mads"], dtype=float) for e in d["per_cluster"]],
         d=d["d"],
     )
-    _check_model(model)
+    _check_model(model, cd["k"])
     return model
 
 

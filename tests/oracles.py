@@ -7,7 +7,12 @@ the tests can assert the optimized version returns bit-identical results
 (np.array_equal, not allclose), or, for a score batch spanning several
 blocks, results equal to rounding. The full-spectrum fit_kpca and the
 scipy-ranked roc_auc are references to rounding and exactly, respectively.
+The scalar kernel and per-direction losses at the end are the textbook
+definitions the vectorized kernel and score are checked against; none
+of them calls the code it checks.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import rankdata
@@ -22,7 +27,12 @@ from lkplo.kernel_feature import (
     center_gram,
     transform,
 )
-from lkplo.plo import DIRECTION_NORM_FLOOR, DegenerateDirectionsError, _losses
+from lkplo.plo import (
+    DIRECTION_NORM_FLOOR,
+    MAD_FLOOR,
+    DegenerateDirectionsError,
+    _losses,
+)
 
 
 def roc_auc(scores, y):
@@ -36,12 +46,10 @@ def roc_auc(scores, y):
     return float(u / (n0 * n1))
 
 
-def cross_kernel(X, Y, params, kernel):
-    """Kernel evaluations between the rows of X (M, d) and Y (N, d)."""
+def cross_kernel(X, Y, params):
+    """RBF kernel evaluations between the rows of X (M, d) and Y (N, d)."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    if kernel == "linear":
-        return X @ Y.T
     sq = (
         (X * X).sum(axis=1)[:, None]
         + (Y * Y).sum(axis=1)[None, :]
@@ -55,14 +63,14 @@ def gram_matrix(X, params):
     """N x N RBF Gram matrix, symmetric by construction (upper triangle
     mirrored), unit diagonal."""
     X = np.asarray(X, dtype=float)
-    K = cross_kernel(X, X, params, "rbf")
+    K = cross_kernel(X, X, params)
     i, j = np.tril_indices(K.shape[0], k=-1)
     K[i, j] = K[j, i]
     np.fill_diagonal(K, 1.0)
     return K
 
 
-def fit_kpca(X, params, q_requested, kernel="rbf"):
+def fit_kpca(X, params, q_requested):
     """fit_kpca solving the full spectrum with np.linalg.eigh."""
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
@@ -71,11 +79,7 @@ def fit_kpca(X, params, q_requested, kernel="rbf"):
     if q_requested < 1:
         raise ValueError("q_requested must be >= 1")
 
-    if kernel == "rbf":
-        K = gram_matrix(X, params)
-    else:
-        K = cross_kernel(X, X, params, kernel)
-    Kbar, row_means, total_mean = center_gram(K)
+    Kbar, row_means, total_mean = center_gram(gram_matrix(X, params))
 
     eigvals, eigvecs = np.linalg.eigh(Kbar)
     order = np.argsort(eigvals)[::-1]
@@ -106,7 +110,6 @@ def fit_kpca(X, params, q_requested, kernel="rbf"):
         eigenvectors=eigvecs,
         gram_row_means=row_means,
         gram_total_mean=total_mean,
-        kernel=kernel,
     )
 
 
@@ -269,11 +272,66 @@ def score(model, Xnew):
 
     m = F.shape[0]
     out = np.empty(m)
-    assign = batch_assign_nearest(model.clusters, F)
-    for j, entry in enumerate(model.per_cluster):
+    assign = batch_assign_nearest(model.centroids, F)
+    for j, u in enumerate(model.directions):
         rows = assign == j
         if not np.any(rows):
             continue
-        proj = (F[rows] - entry.centroid) @ entry.directions.T
-        out[rows] = _losses(proj, entry, model.loss).max(axis=1) / entry.size
+        proj = (F[rows] - model.centroids[j]) @ u.T
+        losses = _losses(proj, model.medians[j], model.mads[j], model.loss)
+        out[rows] = losses.max(axis=1) / model.sizes[j]
     return out
+
+
+def rbf_kernel(x, y, params):
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape:
+        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
+    d = x - y
+    return float(np.exp(-params.gamma * np.dot(d, d)))
+
+
+@dataclass(frozen=True)
+class ProjectionStats:
+    direction: np.ndarray  # unit q-vector
+    median_proj: float
+    mad_proj: float
+
+
+def stats(model, j, i):
+    """Direction i of cluster j with its projection statistics."""
+    return ProjectionStats(
+        direction=model.directions[j][i],
+        median_proj=float(model.medians[j][i]),
+        mad_proj=float(model.mads[j][i]),
+    )
+
+
+def robust_z_loss(u, f_prime, stats):
+    """|u.f' - median| / MAD with the MAD floored (Stahel-Donoho form)."""
+    p = float(np.dot(u, f_prime))
+    return abs(p - stats.median_proj) / max(stats.mad_proj, MAD_FLOOR)
+
+
+def svm_like_loss(u, f_prime, stats, c):
+    """max(0, |u.f'| - c * MAD): exceedance of a robust margin.
+
+    The projection is of the centroid-centered point, not median-shifted.
+    """
+    p = float(np.dot(u, f_prime))
+    return max(0.0, abs(p) - c * stats.mad_proj)
+
+
+def local_score(model, j, f):
+    """Maximum loss of f over cluster j's directions, one scalar loss per
+    direction, with f centered at the cluster centroid (no 1/N_j weight)."""
+    f_prime = np.asarray(f, dtype=float) - model.centroids[j]
+    per_dir = []
+    for i in range(len(model.directions[j])):
+        st = stats(model, j, i)
+        if model.loss.kind == "robust_z":
+            per_dir.append(robust_z_loss(st.direction, f_prime, st))
+        else:
+            per_dir.append(svm_like_loss(st.direction, f_prime, st, model.loss.c))
+    return max(per_dir)

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from lkplo import cli
 from lkplo.clustering import _lloyd, assign_nearest, kmeans_fit
 from lkplo.data import (
@@ -29,22 +30,19 @@ from lkplo.kernel_feature import (
     center_gram,
     fit_kpca,
     gram_matrix,
+    kpca_from_gram,
 )
 from lkplo.plo import (
     MAD_FLOOR,
     DirectionConfig,
     FitConfig,
     LossSpec,
+    _losses,
     fit,
     gen_directions,
     load_model,
-    local_score,
-    mad,
-    median,
-    robust_z_loss,
     save_model,
     score,
-    svm_like_loss,
 )
 
 N_CASES = 1000
@@ -135,13 +133,23 @@ def sort_median(z):
 
 
 def test_criterion_4_median_mad_oracle():
+    # With one feature every direction is +1 or -1 (x / |x| is exact), so
+    # each projection is exactly +-(z_i - centroid) and == can hold.
     rng = np.random.default_rng(100)
+    cfg = FitConfig(variant="plo", loss=LossSpec("robust_z"),
+                    direction_config=DirectionConfig(2, True, 2, 2))
     for _ in range(N_CASES):
-        z = rng.standard_normal(int(rng.integers(1, 40))).tolist()
-        m = sort_median(z)
-        assert median(z) == m
-        assert mad(z) == 1.4826 * sort_median([abs(v - m) for v in z])
-    check("criterion 4a: median/mad match sort-based oracles (1000 samples)", True)
+        z = rng.standard_normal(int(rng.integers(2, 40)))
+        model = fit(z[:, None], cfg)
+        centered = [v - model.centroids[0, 0] for v in z.tolist()]
+        stats = zip(model.directions[0][:, 0], model.medians[0], model.mads[0])
+        for u, med, mad in stats:
+            proj = [u * v for v in centered]
+            m = sort_median(proj)
+            assert med == m
+            assert mad == 1.4826 * sort_median([abs(p - m) for p in proj])
+    check("criterion 4a: fitted medians/MADs match sort-based oracles (1000 samples)",
+          True)
 
 
 def test_criterion_4_roc_auc_oracle():
@@ -166,7 +174,7 @@ def test_criterion_4_linear_kpca_vs_pca():
         n = int(rng.integers(10, 101))
         d = int(rng.integers(2, 6))
         X = 2.0 * rng.standard_normal((n, d))
-        model = fit_kpca(X, KernelParams(1.0), d, kernel="linear")
+        model = kpca_from_gram(X @ X.T, X, KernelParams(1.0), d)
         F = model.train_features()
         Xc = X - X.mean(axis=0)
         U, s, _ = np.linalg.svd(Xc, full_matrices=False)
@@ -198,20 +206,11 @@ def test_criterion_4_local_score_naive_loop():
             seed=int(rng.integers(1 << 31)),
         )
         model = fit(members, cfg)
-        entry = model.per_cluster[0]
         f = rng.standard_normal(q)
-        per_dir = []
-        for i in range(len(entry.directions)):
-            st = entry.stats(i)
-            if cfg.loss.kind == "robust_z":
-                per_dir.append(robust_z_loss(st.direction, f - entry.centroid, st))
-            else:
-                per_dir.append(
-                    svm_like_loss(st.direction, f - entry.centroid, st, cfg.loss.c)
-                )
-        worst = max(worst, abs(local_score(f, entry, cfg.loss) - max(per_dir)))
+        naive = oracles.local_score(model, 0, f)
+        worst = max(worst, abs(score(model, f[None])[0] * n - naive))
     check(
-        "criterion 4d: local_score matches naive double loop within 1e-9",
+        "criterion 4d: score * N matches naive double loop within 1e-9",
         worst <= 1e-9,
         f"max diff {worst:.2e}",
     )
@@ -231,7 +230,7 @@ def test_criterion_4_rpd_equivalence():
             seed=int(rng.integers(1 << 31)),
         )
         model = fit(X, cfg)
-        dirs = model.per_cluster[0].directions
+        dirs = model.directions[0]
         proj = X @ dirs.T
         med = np.median(proj, axis=0)
         mads = 1.4826 * np.median(np.abs(proj - med), axis=0)
@@ -278,7 +277,7 @@ def test_invariant_kmeans_idempotence_and_monotonicity():
         F = rng.standard_normal((n, 2))
         model = kmeans_fit(F, k, seed=int(rng.integers(1 << 31)), n_init=2)
         assert model.sizes.sum() == n and model.sizes.min() >= 1
-        reassigned = np.array([assign_nearest(model, f) for f in F])
+        reassigned = assign_nearest(model.centroids, F)
         np.testing.assert_array_equal(reassigned, model.membership)
         centers = F[rng.choice(n, size=k, replace=False)].copy()
         _, _, _, history = _lloyd(F, centers)
@@ -301,22 +300,17 @@ def test_invariant_direction_unit_norms():
 
 def test_invariant_loss_nonnegativity_and_c_monotonicity():
     rng = np.random.default_rng(204)
-    from lkplo.plo import ProjectionStats
-
     for _ in range(N_CASES):
         q = int(rng.integers(1, 5))
         u = rng.standard_normal(q)
         u /= np.linalg.norm(u)
-        stats = ProjectionStats(
-            direction=u,
-            median_proj=float(rng.standard_normal()),
-            mad_proj=float(abs(rng.standard_normal())),
-        )
-        f = rng.standard_normal(q)
-        assert robust_z_loss(u, f, stats) >= 0
+        medians = np.array([rng.standard_normal()])
+        mads = np.array([abs(rng.standard_normal())])
+        proj = u[None, :] @ rng.standard_normal(q)
+        assert _losses(proj, medians, mads, LossSpec("robust_z"))[0] >= 0
         c1, c2 = sorted(rng.uniform(0.5, 6.0, size=2))
-        l1 = svm_like_loss(u, f, stats, c1)
-        l2 = svm_like_loss(u, f, stats, c2)
+        l1 = _losses(proj, medians, mads, LossSpec("svm_like", c1))[0]
+        l2 = _losses(proj, medians, mads, LossSpec("svm_like", c2))[0]
         assert l1 >= 0 and l2 >= 0
         assert l2 <= l1 + 1e-12
     check("criterion 5: loss nonnegativity + SVM-like monotone in c (1000 cases)", True)
@@ -341,11 +335,11 @@ def test_invariant_fold_stratification_bounds():
         n1 = int(rng.integers(k, 40))
         y = np.concatenate([np.zeros(n0, dtype=int), np.ones(n1, dtype=int)])
         rng.shuffle(y)
-        plan = stratified_kfold(y, k, seed=int(rng.integers(1 << 31)))
-        assert set(plan.assignments) <= set(range(k))
+        folds = stratified_kfold(y, k, seed=int(rng.integers(1 << 31)))
+        assert set(folds) <= set(range(k))
         for cls, n_cls in ((0, n0), (1, n1)):
             counts = [
-                ((y == cls) & (plan.assignments == f)).sum() for f in range(k)
+                ((y == cls) & (folds == f)).sum() for f in range(k)
             ]
             assert sum(counts) == n_cls
             assert max(counts) - min(counts) <= 1
@@ -370,11 +364,11 @@ def test_invariant_no_leakage():
         y[:3] = 1
         y[3:6] = 0
         ds = Dataset("t", rng.standard_normal((n, 2)), y)
-        plan = stratified_kfold(ds.y, protocol.k_folds, protocol.seed)
-        train_idx = np.flatnonzero(plan.assignments != 0)
+        folds = stratified_kfold(ds.y, protocol.k_folds, protocol.seed)
+        train_idx = np.flatnonzero(folds != 0)
         _, scaler_a, _, _ = _fit_fold(ds, train_idx, method, protocol, 0)
         perturbed = Dataset(ds.name, ds.X.copy(), ds.y)
-        perturbed.X[plan.assignments == 0] += 1e6
+        perturbed.X[folds == 0] += 1e6
         _, scaler_b, _, _ = _fit_fold(perturbed, train_idx, method, protocol, 0)
         assert np.array_equal(scaler_a.means, scaler_b.means)
         assert np.array_equal(scaler_a.stds, scaler_b.stds)

@@ -32,6 +32,14 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def child_env(**extra):
+    """This process's environment with src/ on PYTHONPATH and extra set,
+    for a child process; this process's own environment is not touched."""
+    src = str(Path(lkplo.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p), **extra)
+
+
 class TestFitCommand:
     def test_happy_path(self, tmp_path, train_csv, capsys):
         out = tmp_path / "model.json"
@@ -62,9 +70,21 @@ class TestFitCommand:
         rc = run("fit", "--data", train_csv, "--out", out,
                  "--config", cfg, "--seed", "7")
         assert rc == 0
-        model = load_model(out)
-        assert model.variant == "plo"  # from file
-        assert model.seed == 7         # flag wins
+        assert load_model(out).variant == "plo"  # from file
+        # The flag wins: the same fit as seed 7 given on the command line
+        # (the seed draws the random directions, so seed 5 differs).
+        for seed, same in (("7", True), ("5", False)):
+            ref = tmp_path / f"ref{seed}.json"
+            assert run("fit", "--data", train_csv, "--out", ref, "--variant", "plo",
+                       "--loss", "robust_z", "--seed", seed) == 0
+            assert (ref.read_bytes() == out.read_bytes()) is same
+
+    def test_negative_direction_count_fails(self, tmp_path, train_csv, capsys):
+        rc = run("fit", "--data", train_csv, "--out", tmp_path / "m.json",
+                 "--n-random", "-5")
+        assert rc == 1
+        assert "n_random must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
 
     def test_unknown_config_key(self, tmp_path, train_csv, capsys):
         cfg = tmp_path / "run.ini"
@@ -121,16 +141,25 @@ class TestScoreCommand:
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
             "sys.exit(rc)\n"
         )
-        src = str(Path(lkplo.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
         proc = subprocess.run(
             [sys.executable, "-c", child, "score", "--model", str(model_path),
              "--data", str(train_csv), "--out", str(tmp_path / "s.csv")],
-            capture_output=True, text=True, env=env, timeout=120,
+            capture_output=True, text=True, env=child_env(), timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"
+
+    def test_v1_model_rejected(self, tmp_path, train_csv, capsys):
+        model_path = tmp_path / "m.json"
+        assert run("fit", "--data", train_csv, "--out", model_path,
+                   "--variant", "plo") == 0
+        d = json.loads(model_path.read_text())
+        d["format"] = "lkplo-model-v1"
+        model_path.write_text(json.dumps(d))
+        rc = run("score", "--model", model_path, "--data", train_csv,
+                 "--out", tmp_path / "s.csv")
+        assert rc == 1
+        assert "unsupported model format 'lkplo-model-v1'" in capsys.readouterr().err
 
 
 class TestBenchmarkCommand:
@@ -222,9 +251,8 @@ class TestBoundaryGridCommand:
             tmp_path, train_csv, loss="svm_like", c=5.0
         )
         model = load_model(model_path)
-        entry = model.per_cluster[0]
         # Grid point at the cluster centroid: every |u.f'| = 0 <= c * MAD.
-        cx, cy = entry.centroid
+        cx, cy = model.centroids[0]
         out = tmp_path / "grid.csv"
         rc = run("boundary-grid", "--model", model_path,
                  "--bounds", f"{cx},{cx + 1},{cy},{cy + 1}",
@@ -248,6 +276,31 @@ class TestBoundaryGridCommand:
         assert rc != 0
         assert "2-D" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bounds", [
+        "1,2,3",        # three numbers
+        "5,-5,0,1",     # xmin > xmax: a descending grid
+        "0,1,1,1",      # ymin = ymax
+        "0,1,0,inf",
+        "0,1,zero,1",
+    ])
+    def test_bad_bounds_named(self, tmp_path, train_csv, capsys, bounds):
+        model_path = self.fit_2d_model(tmp_path, train_csv)
+        out = tmp_path / "grid.csv"
+        rc = run("boundary-grid", "--model", model_path, f"--bounds={bounds}",
+                 "--out", out)
+        assert rc == 1
+        assert "--bounds must be four finite numbers" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_resolution_below_one_named(self, tmp_path, train_csv, capsys):
+        model_path = self.fit_2d_model(tmp_path, train_csv)
+        out = tmp_path / "grid.csv"
+        rc = run("boundary-grid", "--model", model_path, "--resolution", "0",
+                 "--out", out)
+        assert rc == 1
+        assert "--resolution must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_byte_identical_reruns(self, tmp_path, train_csv):
         model_path = self.fit_2d_model(tmp_path, train_csv)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -256,3 +309,51 @@ class TestBoundaryGridCommand:
         assert run(*args, "--out", a) == 0
         assert run(*args, "--out", b) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# Runs each command (a JSON list of argv lists) in order; exits 1 on the
+# first that fails.
+CHILD_COMMANDS = (
+    "import json, sys\n"
+    "from lkplo.cli import main\n"
+    "sys.exit(any(main(argv) != 0 for argv in json.loads(sys.argv[1])))\n"
+)
+
+
+def run_with_blas_threads(out_dir, threads):
+    """gen, fit, score and benchmark in one child process whose BLAS runs
+    the given number of threads."""
+    out_dir.mkdir()
+    train, model = out_dir / "train.csv", out_dir / "model.json"
+    commands = [
+        ["gen", "--name", "three_gaussians", "--seed", "7", "--out", train],
+        ["fit", "--data", train, "--variant", "lkplo", "--gamma", "0.5",
+         "--q", "20", "--k", "5", "--out", model],
+        ["score", "--model", model, "--data", train, "--out", out_dir / "scores.csv"],
+        ["benchmark", "--data", "synth:moons", "--method", "lkplo-svm",
+         "--folds", "3", "--trials", "2", "--seed", "2", "--out", out_dir / "report"],
+    ]
+    argv = json.dumps([[str(a) for a in cmd] for cmd in commands])
+    env = child_env(**{var: str(threads) for var in BLAS_THREAD_VARS})
+    proc = subprocess.run([sys.executable, "-c", CHILD_COMMANDS, argv],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_outputs_byte_identical_at_a_fixed_blas_thread_count(tmp_path):
+    # The eigensolver's and matrix products' rounding depends on how BLAS
+    # splits the work, so byte-identity holds per thread count; across
+    # thread counts scores agree to rounding.
+    outputs = ("model.json", "scores.csv", "report.json", "report.csv")
+    for threads in (1, 2):
+        first, second = tmp_path / f"{threads}a", tmp_path / f"{threads}b"
+        run_with_blas_threads(first, threads)
+        run_with_blas_threads(second, threads)
+        for name in outputs:
+            same = (first / name).read_bytes() == (second / name).read_bytes()
+            assert same, (threads, name)
+    one, two = (np.loadtxt(tmp_path / f"{t}a" / "scores.csv", delimiter=",", skiprows=1)
+                for t in (1, 2))
+    np.testing.assert_array_equal(one[:, 0], two[:, 0])
+    np.testing.assert_allclose(two[:, 1], one[:, 1], rtol=1e-9, atol=0)

@@ -83,7 +83,7 @@ class TestKmeansFit:
         rng = np.random.default_rng(5)
         F = rng.standard_normal((30, 2))
         model = kmeans_fit(F, 4, seed=11)
-        reassigned = np.array([assign_nearest(model, f) for f in F])
+        reassigned = assign_nearest(model.centroids, F)
         np.testing.assert_array_equal(reassigned, model.membership)
 
     def test_inertia_monotone_within_restart(self):
@@ -110,24 +110,25 @@ class TestKmeansFit:
 class TestAssignNearest:
     def test_exact_centroid(self):
         model = kmeans_fit(np.array([[0.0, 0.0], [4.0, 0.0]]), 2, seed=0)
-        for j in range(2):
-            assert assign_nearest(model, model.centroids[j]) == j
+        assert assign_nearest(model.centroids, model.centroids).tolist() == [0, 1]
 
     def test_tie_breaks_to_lowest_index(self):
         model = kmeans_fit(np.array([[-1.0, 0.0], [1.0, 0.0]]), 2, seed=0)
         # (0, 0) is exactly equidistant from both centroids.
         first = np.argmin(((model.centroids - 0.0) ** 2).sum(axis=1))
-        assert assign_nearest(model, np.zeros(2)) == first == 0
+        assert assign_nearest(model.centroids, np.zeros((1, 2)))[0] == first == 0
 
     def test_matches_linear_scan(self):
         rng = np.random.default_rng(8)
         model = kmeans_fit(rng.standard_normal((20, 3)), 4, seed=1)
-        for _ in range(50):
-            f = rng.standard_normal(3)
+        F = rng.standard_normal((50, 3))
+        got = assign_nearest(model.centroids, F)
+        for f, j in zip(F, got):
             dists = [np.linalg.norm(f - c) for c in model.centroids]
-            assert assign_nearest(model, f) == int(np.argmin(dists))
+            assert j == int(np.argmin(dists))
 
     def test_dimension_mismatch(self):
         model = kmeans_fit(np.array([[0.0, 0.0], [1.0, 1.0]]), 2, seed=0)
-        with pytest.raises(ValueError):
-            assign_nearest(model, np.zeros(3))
+        for bad in (np.zeros((1, 3)), np.zeros(2)):
+            with pytest.raises(ValueError):
+                assign_nearest(model.centroids, bad)

@@ -9,15 +9,14 @@ import oracles
 from lkplo.clustering import InvalidKError
 from lkplo.data import Dataset, gen_three_gaussians
 from lkplo.evaluation import (
+    METHODS,
     Method,
     ParamSpec,
     Protocol,
-    SearchSpace,
     StratificationError,
     _average_ranks,
     _fit_fold,
     evaluate_method,
-    make_method,
     random_search,
     roc_auc,
     run_ablation,
@@ -30,30 +29,29 @@ from lkplo.plo import DegenerateDirectionsError
 class TestStratifiedKfold:
     def test_exact_divisibility(self):
         y = np.array([0] * 50 + [1] * 10)
-        plan = stratified_kfold(y, 5, seed=0)
+        folds = stratified_kfold(y, 5, seed=0)
         for f in range(5):
-            fold_y = y[plan.assignments == f]
+            fold_y = y[folds == f]
             assert (fold_y == 0).sum() == 10
             assert (fold_y == 1).sum() == 2
 
     def test_uneven_counts_within_one(self):
         y = np.array([0] * 45 + [1] * 7)
-        plan = stratified_kfold(y, 5, seed=1)
-        ones = [(y[plan.assignments == f] == 1).sum() for f in range(5)]
+        folds = stratified_kfold(y, 5, seed=1)
+        ones = [(y[folds == f] == 1).sum() for f in range(5)]
         assert set(ones) <= {1, 2}
         assert sum(ones) == 7
 
     def test_determinism(self):
         y = np.array([0] * 30 + [1] * 8)
-        p1 = stratified_kfold(y, 4, seed=7)
-        p2 = stratified_kfold(y, 4, seed=7)
-        np.testing.assert_array_equal(p1.assignments, p2.assignments)
+        np.testing.assert_array_equal(stratified_kfold(y, 4, seed=7),
+                                      stratified_kfold(y, 4, seed=7))
 
     def test_disjoint_cover(self):
         y = np.array([0, 1] * 20)
-        plan = stratified_kfold(y, 5, seed=3)
-        assert plan.assignments.shape == (40,)
-        assert set(plan.assignments) == set(range(5))
+        folds = stratified_kfold(y, 5, seed=3)
+        assert folds.shape == (40,)
+        assert set(folds) == set(range(5))
 
     def test_small_class_raises(self):
         y = np.array([0] * 20 + [1] * 3)
@@ -128,7 +126,7 @@ class TestRocAuc:
 
 
 class TestRandomSearch:
-    space = SearchSpace({"k": ParamSpec("int", 2, 30)})
+    space = {"k": ParamSpec("int", 2, 30)}
 
     def test_single_trial(self):
         best, log = random_search(self.space, 1, seed=0, objective=lambda p: 1.0)
@@ -196,6 +194,8 @@ class TestRandomSearch:
             ParamSpec("int", 5, 5)
         with pytest.raises(ValueError):
             ParamSpec("loguniform", 0.0, 1.0)
+        with pytest.raises(ValueError, match="unknown param kind"):
+            ParamSpec("categorical", 0, 1)
 
     def test_loguniform_range(self):
         spec = ParamSpec("loguniform", 1e-4, 1e1)
@@ -251,7 +251,7 @@ class TestEvaluateMethod:
     def test_lkplo_on_three_gaussians(self):
         ds = gen_three_gaussians(42)
         report = evaluate_method(
-            ds, make_method("lkplo", "svm_like"), Protocol(n_trials=8)
+            ds, METHODS["lkplo-svm"](), Protocol(n_trials=8)
         )
         assert report.mean >= 0.9
         assert len(report.fold_aucs) == 5
@@ -268,15 +268,15 @@ class TestEvaluateMethod:
         """Perturbing held-out rows must not change what the fold fits."""
         ds = label_coded_dataset(3)
         protocol = Protocol(n_trials=2)
-        plan = stratified_kfold(ds.y, protocol.k_folds, protocol.seed)
-        train_idx = np.flatnonzero(plan.assignments != 0)
-        method = make_method("lkplo", "svm_like")
+        folds = stratified_kfold(ds.y, protocol.k_folds, protocol.seed)
+        train_idx = np.flatnonzero(folds != 0)
+        method = METHODS["lkplo-svm"]()
 
         _, scaler_a, best_a, _ = _fit_fold(ds, train_idx, method, protocol, 0)
         perturbed = Dataset(
             ds.name, ds.X.copy(), ds.y
         )
-        perturbed.X[plan.assignments == 0] += 100.0
+        perturbed.X[folds == 0] += 100.0
         _, scaler_b, best_b, _ = _fit_fold(perturbed, train_idx, method, protocol, 0)
 
         np.testing.assert_array_equal(scaler_a.means, scaler_b.means)
@@ -291,13 +291,13 @@ class TestEvaluateMethod:
                 raise DegenerateDirectionsError("no usable projection directions")
             return _FixedScorer(fail)
 
-        method = Method("broken", SearchSpace({"k": ParamSpec("int", 2, 30)}), build)
+        method = Method("broken", {"k": ParamSpec("int", 2, 30)}, build)
         with pytest.raises(ValueError, match=r"^fold 0: all 2 search trials failed; "
                            r"trial 0: DegenerateDirectionsError: no usable"):
             evaluate_method(label_coded_dataset(6), method, Protocol(n_trials=2))
 
     def test_programming_error_in_a_trial_propagates(self):
-        method = Method("typo", SearchSpace({"k": ParamSpec("int", 2, 30)}),
+        method = Method("typo", {"k": ParamSpec("int", 2, 30)},
                         lambda p, s: _FixedScorer(lambda X: X[:, "0"]))
         with pytest.raises(IndexError):
             evaluate_method(label_coded_dataset(7), method, Protocol(n_trials=2))
@@ -321,6 +321,6 @@ class TestRunAblation:
         ds = label_coded_dataset(6)
         protocol = Protocol(n_trials=3)
         reports = run_ablation([ds], protocol)
-        solo = evaluate_method(ds, make_method("plo", "svm_like"), protocol)
+        solo = evaluate_method(ds, METHODS["plo"](), protocol)
         assert reports[0].fold_aucs == solo.fold_aucs
         assert reports[0].fold_params == solo.fold_params

@@ -7,10 +7,11 @@ import oracles
 from lkplo.kernel_feature import (
     DegenerateKernelError,
     KernelParams,
+    _cross_kernel,
     center_gram,
     fit_kpca,
     gram_matrix,
-    rbf_kernel,
+    kpca_from_gram,
     transform,
 )
 
@@ -20,23 +21,24 @@ def random_matrix(rng, n, d, scale=2.0):
 
 
 class TestRbfKernel:
+    """Hand examples of the cross kernel that gram_matrix and transform use."""
+
     def test_zero_distance_is_one(self):
-        x = np.array([1.5, -2.0, 3.0])
-        assert rbf_kernel(x, x, KernelParams(7.3)) == 1.0
+        x = np.array([[1.5, -2.0, 3.0]])
+        assert _cross_kernel(x, x, KernelParams(7.3))[0, 0] == 1.0
 
     def test_scalar_example(self):
-        assert rbf_kernel([0.0], [1.0], KernelParams(1.0)) == pytest.approx(
-            np.exp(-1.0), abs=1e-12
-        )
+        got = _cross_kernel([[0.0]], [[1.0]], KernelParams(1.0))[0, 0]
+        assert got == pytest.approx(np.exp(-1.0), abs=1e-12)
 
     def test_vector_example(self):
         # ||x - y||^2 = 25, gamma = 0.01 -> exp(-0.25)
-        got = rbf_kernel([0.0, 0.0], [3.0, 4.0], KernelParams(0.01))
+        got = _cross_kernel([[0.0, 0.0]], [[3.0, 4.0]], KernelParams(0.01))[0, 0]
         assert got == pytest.approx(np.exp(-0.25), abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            rbf_kernel([0.0], [0.0, 1.0], KernelParams(1.0))
+            _cross_kernel([[0.0]], [[0.0, 1.0]], KernelParams(1.0))
 
     def test_gamma_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -61,7 +63,7 @@ class TestGramMatrix:
         for i in range(3):
             for j in range(3):
                 assert K[i, j] == pytest.approx(
-                    rbf_kernel(X[i], X[j], params), abs=1e-12
+                    oracles.rbf_kernel(X[i], X[j], params), abs=1e-12
                 )
 
     @given(st.integers(min_value=0, max_value=10_000))
@@ -103,6 +105,16 @@ class TestCenterGram:
         Kbar, _, _ = center_gram(K)
         assert np.abs(Kbar.sum(axis=1)).max() <= 1e-9 * n
         np.testing.assert_array_equal(Kbar, Kbar.T)
+
+    def test_matches_out_of_place_formula_across_blocks(self):
+        # 600 rows span three symmetrization blocks, the last one ragged;
+        # an asymmetric K exercises the averaging of every mirrored pair.
+        K = np.random.default_rng(5).standard_normal((600, 600))
+        r = K.mean(axis=1)
+        expect = K - r[:, None] - r[None, :] + float(K.mean())
+        expect = 0.5 * (expect + expect.T)
+        Kbar, _, _ = center_gram(K)
+        np.testing.assert_array_equal(Kbar, expect)
 
     def test_idempotence(self):
         rng = np.random.default_rng(3)
@@ -154,7 +166,7 @@ class TestFitKpca:
     def test_linear_kernel_matches_pca_scores(self):
         rng = np.random.default_rng(6)
         X = random_matrix(rng, 30, 4)
-        model = fit_kpca(X, KernelParams(1.0), q_requested=4, kernel="linear")
+        model = kpca_from_gram(X @ X.T, X, KernelParams(1.0), q_requested=4)
         F = model.train_features()
         Xc = X - X.mean(axis=0)
         U, s, _ = np.linalg.svd(Xc, full_matrices=False)

@@ -1,29 +1,31 @@
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracles
+from lkplo.clustering import InvalidKError, assign_nearest
+from lkplo.kernel_feature import DegenerateKernelError
 from lkplo.plo import (
     MAD_FLOOR,
-    ClusterScorer,
+    VARIANTS,
     DegenerateDirectionsError,
     DirectionConfig,
     FitConfig,
+    LkploModel,
     LossSpec,
-    ProjectionStats,
+    _losses,
     fit,
     gen_directions,
     load_model,
-    local_score,
-    mad,
-    median,
     model_from_dict,
     model_to_dict,
-    robust_z_loss,
     save_model,
     score,
-    svm_like_loss,
 )
 
 
@@ -42,37 +44,56 @@ def rz_config(variant="plo", **kw):
     return FitConfig(variant=variant, loss=LossSpec("robust_z"), **kw)
 
 
+def basis_stats(z):
+    """Centroid, median and MAD that fit stores for the one-column sample
+    z along the basis direction, whose projections are exactly
+    z_i - centroid."""
+    X = np.asarray(z, dtype=float)[:, None]
+    model = fit(X, rz_config(direction_config=DirectionConfig(0, True, 0, 0)))
+    return model.centroids[0, 0], model.medians[0][0], model.mads[0][0]
+
+
 class TestMedianMad:
+    """The per-direction medians and MADs that fit stores."""
+
     def test_singleton(self):
-        assert median([5.0]) == 5.0
-        assert mad([5.0]) == 0.0
+        # k = N: every cluster is one point, its only projection is 0.
+        X = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]])
+        model = fit(X, rz_config("lkplo", gamma=0.1, q=2, k=3))
+        for medians, mads in zip(model.medians, model.mads):
+            assert np.all(medians == 0.0)
+            assert np.all(mads == 0.0)
 
     def test_even_length_midpoint(self):
-        assert median([1.0, 2.0, 3.0, 4.0]) == 2.5
+        # centered sample [-2, -1, 0, 3]
+        assert basis_stats([0.0, 1.0, 2.0, 5.0])[1] == -0.5
 
     def test_unsorted(self):
-        assert median([3.0, 1.0, 2.0]) == 2.0
+        # centered sample [2, -1, -1]
+        assert basis_stats([4.0, 1.0, 1.0])[1] == -1.0
 
     def test_mad_constant_is_zero(self):
-        assert mad([2.0] * 7) == 0.0
+        assert basis_stats([2.0] * 7)[2] == 0.0
 
     def test_mad_hand_example(self):
-        # deviations {2, 1, 0, 1, 2}, median 1
-        assert mad([1.0, 2.0, 3.0, 4.0, 5.0]) == pytest.approx(1.4826)
+        # centered sample [-2..2]: deviations {2, 1, 0, 1, 2}, median 1
+        assert basis_stats([1.0, 2.0, 3.0, 4.0, 5.0])[2] == pytest.approx(1.4826)
 
     def test_against_sort_oracle(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
-            z = rng.standard_normal(int(rng.integers(1, 30))).tolist()
-            assert median(z) == sort_median(z)
-            m = sort_median(z)
-            assert mad(z) == 1.4826 * sort_median([abs(v - m) for v in z])
+            z = rng.standard_normal(int(rng.integers(2, 30))).tolist()
+            centroid, med, mad = basis_stats(z)
+            centered = [v - centroid for v in z]
+            m = sort_median(centered)
+            assert med == m
+            assert mad == 1.4826 * sort_median([abs(v - m) for v in centered])
 
     def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            median([])
-        with pytest.raises(ValueError):
-            mad([])
+        # fit rejects a sample too small to take a median and MAD of.
+        for n in (0, 1):
+            with pytest.raises(ValueError):
+                fit(np.zeros((n, 1)), rz_config())
 
 
 class TestGenDirections:
@@ -111,48 +132,61 @@ class TestGenDirections:
             gen_directions(F, DirectionConfig(0, False, 2, 2), seed=0)
 
 
+class TestDirectionConfig:
+    @pytest.mark.parametrize("field", ["n_random", "n_one_point", "n_two_points"])
+    def test_negative_count_named(self, field):
+        with pytest.raises(ValueError, match=f"DirectionConfig.{field} must be >= 0"):
+            DirectionConfig(**{field: -1})
+
+    def test_zero_and_none_counts_allowed(self):
+        DirectionConfig(n_random=0, n_one_point=0, n_two_points=None)
+
+
+def one_loss(f, loss, median=2.0, mad=1.4826):
+    """_losses of the (centered) point f projected on the first axis, a
+    direction whose training projections have this median and MAD."""
+    return _losses(np.array([f[0]]), np.array([median]), np.array([mad]), loss)[0]
+
+
 class TestLosses:
-    stats = ProjectionStats(
-        direction=np.array([1.0, 0.0]), median_proj=2.0, mad_proj=1.4826
-    )
+    rz = LossSpec("robust_z")
 
     def test_robust_z_at_median(self):
         f = np.array([2.0, 5.0])  # u.f = median
-        assert robust_z_loss(self.stats.direction, f, self.stats) == 0.0
+        assert one_loss(f, self.rz) == 0.0
 
     def test_robust_z_one_scale_unit(self):
         f = np.array([2.0 + 1.4826, 0.0])
-        assert robust_z_loss(self.stats.direction, f, self.stats) == pytest.approx(1.0)
+        assert one_loss(f, self.rz) == pytest.approx(1.0)
 
     def test_robust_z_hand_example(self):
         # projected sample [0..4]: median 2, MAD 1.4826; u.f = 5
-        assert robust_z_loss(
-            self.stats.direction, np.array([5.0, 0.0]), self.stats
-        ) == pytest.approx(3.0 / 1.4826)
+        assert one_loss(np.array([5.0, 0.0]), self.rz) == pytest.approx(3.0 / 1.4826)
 
     def test_robust_z_mad_floor(self):
-        stats = ProjectionStats(np.array([1.0]), 0.0, 0.0)
-        assert robust_z_loss(stats.direction, np.array([1e-3]), stats) == (
+        assert one_loss(np.array([1e-3]), self.rz, median=0.0, mad=0.0) == (
             pytest.approx(1e-3 / MAD_FLOOR)
         )
 
     def test_svm_inside_margin(self):
         f = np.array([1.0, 0.0])  # |u.f| = 1 < 2 * 1.4826
-        assert svm_like_loss(self.stats.direction, f, self.stats, c=2.0) == 0.0
+        assert one_loss(f, LossSpec("svm_like", 2.0)) == 0.0
 
     def test_svm_hand_example(self):
         f = np.array([5.0, 0.0])
-        got = svm_like_loss(self.stats.direction, f, self.stats, c=2.0)
+        got = one_loss(f, LossSpec("svm_like", 2.0))
         assert got == pytest.approx(5.0 - 2.9652)
 
     def test_svm_huge_c_swallows_everything(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             f = rng.standard_normal(2)
-            assert svm_like_loss(self.stats.direction, f, self.stats, c=1e12) == 0.0
+            assert one_loss(f, LossSpec("svm_like", 1e12)) == 0.0
 
 
-def make_entry(rng, n=20, q=3, n_dirs=10):
+def make_model(rng, n=20, q=3, n_dirs=10):
+    """A one-cluster plo model built by hand from n random members. Its
+    cluster size is 1, so score returns the local score itself."""
     members = rng.standard_normal((n, q))
     centroid = members.mean(axis=0)
     centered = members - centroid
@@ -161,55 +195,55 @@ def make_entry(rng, n=20, q=3, n_dirs=10):
     proj = centered @ dirs.T
     medians = np.median(proj, axis=0)
     mads = 1.4826 * np.median(np.abs(proj - medians), axis=0)
-    return ClusterScorer(centroid, n, dirs, medians, mads)
+    return LkploModel(
+        variant="plo", kpca=None, loss=LossSpec("robust_z"),
+        centroids=centroid[None, :], sizes=np.array([1]),
+        directions=[dirs], medians=[medians], mads=[mads], d=q,
+    )
+
+
+def local_score(model, f, loss):
+    return score(replace(model, loss=loss), f[None, :])[0]
 
 
 class TestLocalScore:
     def test_single_direction(self):
         rng = np.random.default_rng(4)
-        entry = make_entry(rng, n_dirs=1)
+        model = make_model(rng, n_dirs=1)
         f = rng.standard_normal(3)
-        loss = LossSpec("robust_z")
-        assert local_score(f, entry, loss) == pytest.approx(
-            robust_z_loss(entry.directions[0], f - entry.centroid, entry.stats(0))
+        assert local_score(model, f, LossSpec("robust_z")) == pytest.approx(
+            oracles.robust_z_loss(
+                model.directions[0][0], f - model.centroids[0], oracles.stats(model, 0, 0)
+            )
         )
 
     def test_centroid_scores_zero_under_svm(self):
         rng = np.random.default_rng(5)
-        entry = make_entry(rng)
-        assert local_score(entry.centroid, entry, LossSpec("svm_like", 1.0)) == 0.0
+        model = make_model(rng)
+        assert local_score(model, model.centroids[0], LossSpec("svm_like", 1.0)) == 0.0
 
     def test_matches_exhaustive_max(self):
         rng = np.random.default_rng(6)
-        entry = make_entry(rng, n_dirs=10)
+        model = make_model(rng, n_dirs=10)
         for loss in (LossSpec("robust_z"), LossSpec("svm_like", 2.0)):
             f = rng.standard_normal(3)
-            per_dir = []
-            for i in range(10):
-                st = entry.stats(i)
-                if loss.kind == "robust_z":
-                    per_dir.append(robust_z_loss(st.direction, f - entry.centroid, st))
-                else:
-                    per_dir.append(
-                        svm_like_loss(st.direction, f - entry.centroid, st, loss.c)
-                    )
-            assert local_score(f, entry, loss) == pytest.approx(max(per_dir), abs=1e-12)
+            naive = oracles.local_score(replace(model, loss=loss), 0, f)
+            assert local_score(model, f, loss) == pytest.approx(naive, abs=1e-12)
 
     def test_max_dominance_adding_direction(self):
         rng = np.random.default_rng(7)
-        entry = make_entry(rng, n_dirs=5)
-        bigger = make_entry(rng, n_dirs=1)
-        grown = ClusterScorer(
-            entry.centroid,
-            entry.size,
-            np.vstack([entry.directions, bigger.directions]),
-            np.concatenate([entry.medians, bigger.medians]),
-            np.concatenate([entry.mads, bigger.mads]),
+        model = make_model(rng, n_dirs=5)
+        bigger = make_model(rng, n_dirs=1)
+        grown = replace(
+            model,
+            directions=[np.vstack([model.directions[0], bigger.directions[0]])],
+            medians=[np.concatenate([model.medians[0], bigger.medians[0]])],
+            mads=[np.concatenate([model.mads[0], bigger.mads[0]])],
         )
         loss = LossSpec("robust_z")
         for _ in range(30):
             f = rng.standard_normal(3)
-            assert local_score(f, grown, loss) >= local_score(f, entry, loss) - 1e-15
+            assert local_score(grown, f, loss) >= local_score(model, f, loss) - 1e-15
 
 
 class TestFit:
@@ -219,8 +253,8 @@ class TestFit:
         model = fit(X, svm_config(seed=1))
         assert model.variant == "plo"
         assert model.kpca is None
-        assert model.clusters.k == 1
-        assert model.per_cluster[0].directions.shape[1] == 2
+        assert len(model.centroids) == 1
+        assert model.directions[0].shape[1] == 2
 
     def test_lkplo_k1_matches_kplo(self):
         rng = np.random.default_rng(9)
@@ -228,11 +262,10 @@ class TestFit:
         kw = dict(gamma=0.5, q=5, seed=3)
         m_kplo = fit(X, svm_config("kplo", **kw))
         m_lkplo = fit(X, svm_config("lkplo", k=1, **kw))
-        a, b = m_kplo.per_cluster[0], m_lkplo.per_cluster[0]
-        np.testing.assert_allclose(a.centroid, b.centroid, atol=1e-12)
-        np.testing.assert_allclose(a.directions, b.directions, atol=1e-12)
-        np.testing.assert_allclose(a.medians, b.medians, atol=1e-12)
-        np.testing.assert_allclose(a.mads, b.mads, atol=1e-12)
+        for field in ("centroids", "directions", "medians", "mads"):
+            np.testing.assert_allclose(
+                getattr(m_kplo, field)[0], getattr(m_lkplo, field)[0], atol=1e-12
+            )
 
     def test_lkplo_recovers_blobs(self):
         rng = np.random.default_rng(10)
@@ -240,7 +273,7 @@ class TestFit:
         X = np.vstack([c + 0.4 * rng.standard_normal((25, 2)) for c in centers])
         blob = np.repeat(np.arange(3), 25)
         model = fit(X, svm_config("lkplo", gamma=0.05, q=5, k=3, seed=4))
-        labels = model.clusters.membership
+        labels = assign_nearest(model.centroids, model.kpca.train_features())
         # Each blob maps to exactly one cluster.
         mapping = {b: set(labels[blob == b]) for b in range(3)}
         assert all(len(s) == 1 for s in mapping.values())
@@ -250,7 +283,7 @@ class TestFit:
         rng = np.random.default_rng(11)
         X = np.vstack([rng.standard_normal((10, 2)), [[50.0, 50.0]]])
         model = fit(X, rz_config("lkplo", gamma=0.1, q=4, k=2, seed=0))
-        assert model.clusters.sizes.min() >= 1
+        assert model.sizes.min() >= 1
 
     def test_determinism(self):
         rng = np.random.default_rng(12)
@@ -268,27 +301,68 @@ class TestFit:
             fit(X, svm_config(variant, gamma=0.5, q=3, k=2))
 
 
+NAMED_FIT_ERRORS = (DegenerateKernelError, DegenerateDirectionsError, InvalidKError)
+
+
+class TestDegenerateFits:
+    """Degenerate training sets (duplicate rows, constant columns, k = N,
+    singleton clusters) either fit to finite, non-negative scores or raise
+    one of the named errors. A NaN score is never returned."""
+
+    @given(
+        st.integers(0, 10_000),            # seed
+        st.integers(2, 12),                # rows
+        st.integers(1, 3),                 # columns
+        st.floats(0.0, 1.0),               # distinct rows as a fraction
+        st.integers(0, 3),                 # constant columns
+        st.sampled_from(VARIANTS),
+        st.sampled_from([LossSpec("robust_z"), LossSpec("svm_like", 2.0)]),
+        st.booleans(),                     # k = N
+    )
+    @example(0, 6, 2, 0.0, 0, "lkplo", LossSpec("robust_z"), True)   # all rows equal
+    @example(1, 8, 2, 0.5, 0, "lkplo", LossSpec("robust_z"), True)   # duplicates, k = N
+    @example(2, 9, 3, 1.0, 2, "lkplo", LossSpec("robust_z"), True)   # singletons
+    @example(3, 7, 2, 1.0, 2, "plo", LossSpec("robust_z"), False)    # constant columns
+    @example(4, 5, 1, 0.0, 1, "plo", LossSpec("svm_like", 2.0), False)
+    @settings(deadline=None)
+    def test_scores_finite_or_named_error(self, seed, n, d, distinct, n_const,
+                                          variant, loss, k_is_n):
+        rng = np.random.default_rng(seed)
+        points = 2.0 * rng.standard_normal((max(1, round(distinct * n)), d))
+        X = points[rng.integers(len(points), size=n)]
+        X[:, :n_const] = 1.5
+        config = FitConfig(
+            variant=variant, loss=loss, gamma=float(rng.uniform(0.05, 5.0)),
+            q=int(rng.integers(1, 8)), k=n if k_is_n else int(rng.integers(1, n + 1)),
+            seed=seed,
+        )
+        try:
+            model = fit(X, config)
+        except NAMED_FIT_ERRORS:
+            return
+        s = score(model, np.vstack([X, 3.0 * rng.standard_normal((5, d))]))
+        assert np.all(np.isfinite(s)) and np.all(s >= 0)
+
+
 class TestScore:
     def test_single_cluster_weighting(self):
         rng = np.random.default_rng(13)
         X = rng.standard_normal((16, 2))
         model = fit(X, rz_config(seed=2))
-        entry = model.per_cluster[0]
         s = score(model, X)
         for i in range(16):
             assert s[i] == pytest.approx(
-                local_score(X[i], entry, model.loss) / 16, abs=1e-12
+                oracles.local_score(model, 0, X[i]) / 16, abs=1e-12
             )
 
     def test_deep_inlier_scores_zero_with_svm(self):
         rng = np.random.default_rng(14)
         X = rng.standard_normal((40, 2))
         model = fit(X, svm_config(c=5.0, seed=0))
-        entry = model.per_cluster[0]
         # Pick a training point whose margins all hold; it must score 0.
         for i in range(40):
-            proj = entry.directions @ (X[i] - entry.centroid)
-            if np.all(np.abs(proj) <= model.loss.c * entry.mads):
+            proj = model.directions[0] @ (X[i] - model.centroids[0])
+            if np.all(np.abs(proj) <= model.loss.c * model.mads[0]):
                 assert score(model, X[i : i + 1])[0] == 0.0
                 break
         else:
@@ -338,7 +412,7 @@ class TestScore:
             seed=6,
         )
         model = fit(X, cfg)
-        dirs = model.per_cluster[0].directions
+        dirs = model.directions[0]
 
         # Independent RPD on the same directions, raw (uncentered) data.
         proj_train = X @ dirs.T
@@ -367,10 +441,11 @@ class TestSerialization:
         rng = np.random.default_rng(20)
         model = fit(rng.standard_normal((8, 2)), rz_config(seed=0))
         d = model_to_dict(model)
-        assert d["format"] == "lkplo-model-v1"
-        d["format"] = "something-else"
-        with pytest.raises(ValueError):
-            model_from_dict(d)
+        assert d["format"] == "lkplo-model-v2"
+        for tag in ("something-else", "lkplo-model-v1"):
+            d["format"] = tag
+            with pytest.raises(ValueError, match=f"unsupported model format '{tag}'"):
+                model_from_dict(d)
 
 
 def _drop_last(key):
@@ -385,14 +460,16 @@ CORRUPTIONS = [
     ("clusters.sizes", lambda d: _drop_last("sizes")(d["clusters"])),
     ("clusters.sizes", lambda d: d["clusters"]["sizes"].__setitem__(1, 0)),
     ("per_cluster", _drop_last("per_cluster")),
-    ("per_cluster[1].centroid", lambda d: _drop_last("centroid")(d["per_cluster"][1])),
+    ("clusters.centroids", lambda d: d["clusters"].update(
+        centroids=d["clusters"]["centroids"][0])),
     ("per_cluster[1].directions", lambda d: d["per_cluster"][1].update(
         directions=[u[:-1] for u in d["per_cluster"][1]["directions"]])),
     ("per_cluster[1].directions", lambda d: d["per_cluster"][1].update(
         directions=[], medians=[], mads=[])),
     ("per_cluster[1].medians", lambda d: _drop_last("medians")(d["per_cluster"][1])),
     ("per_cluster[1].mads", lambda d: _drop_last("mads")(d["per_cluster"][1])),
-    ("per_cluster[1].size", lambda d: d["per_cluster"][1].update(size=0)),
+    ("per_cluster[1].medians", lambda d: d["per_cluster"][1].update(
+        medians=[[m] for m in d["per_cluster"][1]["medians"]])),
     ("kpca.train_points", lambda d: d["kpca"].update(
         train_points=[x + [0.0] for x in d["kpca"]["train_points"]])),
     ("kpca.eigenvectors", lambda d: _drop_last("eigenvectors")(d["kpca"])),

@@ -155,8 +155,8 @@ class TestKernelMatchesReference:
         Y = rng.standard_normal((m, d))
         params = KernelParams(gamma)
         assert np.array_equal(gram_matrix(X, params), oracles.gram_matrix(X, params))
-        assert np.array_equal(_cross_kernel(Y, X, params, "rbf"),
-                              oracles.cross_kernel(Y, X, params, "rbf"))
+        assert np.array_equal(_cross_kernel(Y, X, params),
+                              oracles.cross_kernel(Y, X, params))
 
     @pytest.mark.parametrize("n", [1, 2, 7, 64])
     def test_mirror_copies_the_upper_triangle(self, n, monkeypatch):
@@ -228,17 +228,17 @@ class TestScoreAssignmentMatchesScalar:
 
     def test_batch_equals_per_row(self, model):
         F = transform(model.kpca, self.grid())
-        want = [oracles.assign_nearest(model.clusters.centroids, f) for f in F]
-        assert np.array_equal(assign_nearest(model.clusters, F), want)
+        want = [oracles.assign_nearest(model.centroids, f) for f in F]
+        assert np.array_equal(assign_nearest(model.centroids, F), want)
 
     def test_ties_break_to_lowest_index(self, model):
         # Midpoints of centroid pairs sit on (or within a rounding step
         # of) the bisector, where the per-row and batch forms must agree.
-        C = model.clusters.centroids
+        C = model.centroids
         F = np.array([(C[a] + C[b]) / 2 for a in range(len(C)) for b in range(len(C))])
         want = [oracles.assign_nearest(C, f) for f in F]
-        assert np.array_equal(assign_nearest(model.clusters, F), want)
-        assert assign_nearest(model.clusters, C[2]) == 2
+        assert np.array_equal(assign_nearest(C, F), want)
+        assert assign_nearest(C, C[2:3])[0] == 2
 
     def test_score_uses_the_per_row_assignment(self, model):
         # The grid spans several score blocks. BLAS may round a product's
@@ -251,12 +251,13 @@ class TestScoreAssignmentMatchesScalar:
         want = np.empty(len(X))
         for s in range(0, len(X), b):
             F = transform(model.kpca, X[s:s + b])
-            assign = np.array([oracles.assign_nearest(model.clusters.centroids, f) for f in F])
+            assign = np.array([oracles.assign_nearest(model.centroids, f) for f in F])
             block = want[s:s + b]
-            for j, entry in enumerate(model.per_cluster):
+            for j, u in enumerate(model.directions):
                 rows = assign == j
-                proj = (F[rows] - entry.centroid) @ entry.directions.T
-                block[rows] = _losses(proj, entry, model.loss).max(axis=1) / entry.size
+                proj = (F[rows] - model.centroids[j]) @ u.T
+                losses = _losses(proj, model.medians[j], model.mads[j], model.loss)
+                block[rows] = losses.max(axis=1) / model.sizes[j]
         assert np.array_equal(score(model, X), want)
 
 
