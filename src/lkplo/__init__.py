@@ -7,7 +7,7 @@ the inverse cluster size. Includes the cross-validated evaluation
 harness, synthetic dataset generators, and a CLI.
 """
 
-from .clustering import ClusterModel, InvalidKError, assign_nearest, kmeans_fit
+from .clustering import InvalidKError, assign_nearest, kmeans_fit
 from .data import (
     Dataset,
     Standardizer,

@@ -69,8 +69,8 @@ def cmd_score(args):
     scores = plo_mod.score(model, dataset.X)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("row_index,score\n")
-        for i, s in enumerate(scores):
-            fh.write(f"{i},{float(s)!r}\n")
+        for i, s in enumerate(scores.tolist()):
+            fh.write(f"{i},{s!r}\n")
     print(f"scored {len(scores)} rows -> {args.out}")
     return 0
 
@@ -127,12 +127,12 @@ def cmd_boundary_grid(args):
     xs = np.linspace(xmin, xmax, r)
     ys = np.linspace(ymin, ymax, r)
     # Row-major: x varies slowest, y fastest.
-    grid = np.array([[x, y] for x in xs for y in ys])
+    grid = np.column_stack([np.repeat(xs, r), np.tile(ys, r)])
     scores = plo_mod.score(model, grid)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("x,y,score\n")
-        for (x, y), s in zip(grid, scores):
-            fh.write(f"{float(x)!r},{float(y)!r},{float(s)!r}\n")
+        for (x, y), s in zip(grid.tolist(), scores.tolist()):
+            fh.write(f"{x!r},{y!r},{s!r}\n")
     print(f"wrote {r * r} grid scores -> {args.out}")
     return 0
 

@@ -6,8 +6,6 @@ cluster has at least one member (the 1/N_k score weighting requires
 N_k >= 1).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 N_INIT = 10
@@ -17,14 +15,6 @@ SHIFT_TOL = 1e-6
 
 class InvalidKError(ValueError):
     """Raised when k exceeds the number of points."""
-
-
-@dataclass
-class ClusterModel:
-    centroids: np.ndarray   # (k, q)
-    sizes: np.ndarray       # (k,), all >= 1
-    membership: np.ndarray  # (N,) cluster indices
-    inertia: float
 
 
 def _assign(F, f_sq, centroids):
@@ -126,8 +116,10 @@ def _lloyd(F, centers):
     return centers, labels, inertia, history
 
 
-def kmeans_fit(F, k: int, seed: int, n_init: int = N_INIT) -> ClusterModel:
-    """Best of n_init k-means++ restarts; deterministic given (F, k, seed)."""
+def kmeans_fit(F, k: int, seed: int, n_init: int = N_INIT):
+    """(centroids (k, q), labels (N,)) of the lowest-inertia of n_init
+    k-means++ restarts; every cluster is non-empty. Deterministic given
+    (F, k, seed)."""
     F = np.asarray(F, dtype=float)
     if F.ndim != 2:
         raise ValueError("F must be 2-D")
@@ -143,14 +135,7 @@ def kmeans_fit(F, k: int, seed: int, n_init: int = N_INIT) -> ClusterModel:
         if best is None or inertia < best[2]:
             best = (centers, labels, inertia)
 
-    centers, labels, inertia = best
-    sizes = np.bincount(labels, minlength=k)
-    return ClusterModel(
-        centroids=centers,
-        sizes=sizes,
-        membership=labels,
-        inertia=inertia,
-    )
+    return best[:2]
 
 
 def assign_nearest(centroids, F):

@@ -216,6 +216,12 @@ class Protocol:
     n_trials: int = 50
     seed: int = 42
 
+    def __post_init__(self):
+        if self.k_folds < 2:
+            raise ValueError(f"k_folds (--folds) must be >= 2, got {self.k_folds}")
+        if self.n_trials < 1:
+            raise ValueError(f"n_trials (--trials) must be >= 1, got {self.n_trials}")
+
 
 @dataclass
 class ExperimentReport:

@@ -15,6 +15,7 @@ import numpy as np
 # are discarded: dividing by sqrt(lambda) in transform() would blow up.
 ABS_EIG_FLOOR = 1e-10
 REL_EIG_FLOOR = 1e-12
+_ROWS = 256  # rows per chunk of an N-wide temporary (4 MB at N = 2000)
 
 
 class DegenerateKernelError(ValueError):
@@ -48,49 +49,42 @@ class KpcaModel:
 
 
 def _cross_kernel(X, Y, params: KernelParams) -> np.ndarray:
-    """RBF kernel evaluations between the rows of X (M, d) and Y (N, d)."""
+    """RBF kernel evaluations between the rows of X (M, d) and Y (N, d);
+    symmetric wherever X @ Y.T is."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    sq = (X * X).sum(axis=1)[:, None] + (Y * Y).sum(axis=1)[None, :]
-    cross = X @ Y.T
-    cross *= 2.0
-    sq -= cross
-    np.clip(sq, 0.0, None, out=sq)
-    sq *= -params.gamma
-    return np.exp(sq, out=sq)
+    x_sq = (X * X).sum(axis=1)
+    y_sq = (Y * Y).sum(axis=1)
+    K = X @ Y.T
+    K *= -2.0
+    for s in range(0, len(K), _ROWS):
+        K[s:s + _ROWS] += x_sq[s:s + _ROWS, None] + y_sq
+    np.clip(K, 0.0, None, out=K)
+    K *= -params.gamma
+    return np.exp(K, out=K)
 
 
 def gram_matrix(X, params: KernelParams) -> np.ndarray:
-    """N x N RBF Gram matrix, symmetric by construction (upper triangle
-    mirrored), unit diagonal."""
-    X = np.asarray(X, dtype=float)
+    """N x N RBF Gram matrix with unit diagonal. It is exactly symmetric
+    because numpy computes X @ X.T for a C-contiguous X as a symmetric
+    rank-k update (a strided X may take a general, asymmetric product)."""
+    X = np.ascontiguousarray(X, dtype=float)
     K = _cross_kernel(X, X, params)
-    np.copyto(K, K.T.copy(), where=np.tri(K.shape[0], k=-1, dtype=bool))
     np.fill_diagonal(K, 1.0)
     return K
 
 
 def center_gram(K):
-    """Double centering: Kbar = K - 1K - K1 + 1K1 with 1 = ones/N.
-
-    Returns (Kbar, row_means, total_mean); the means are needed to
-    center out-of-sample kernel rows consistently.
-    """
-    K = np.asarray(K, dtype=float)
+    """Double-center the symmetric K in place, K_ij - (r_i + r_j) + t,
+    which keeps it exactly symmetric. Returns the row means r and the
+    mean t, which center out-of-sample kernel rows consistently."""
     row_means = K.mean(axis=1)
     total_mean = float(K.mean())
-    Kbar = K - row_means[:, None]
-    Kbar -= row_means[None, :]
-    Kbar += total_mean
-    # Kbar <- 0.5 * (Kbar + Kbar.T) in place, one pair of mirrored blocks
-    # at a time, so that no second N x N array is allocated.
-    b = 256  # rows per block
-    for i in range(0, len(Kbar), b):
-        for j in range(i, len(Kbar), b):
-            s = 0.5 * (Kbar[i:i + b, j:j + b] + Kbar[j:j + b, i:i + b].T)
-            Kbar[i:i + b, j:j + b] = s
-            Kbar[j:j + b, i:i + b] = s.T
-    return Kbar, row_means, total_mean
+    for s in range(0, len(K), _ROWS):
+        rows = K[s:s + _ROWS]
+        rows -= row_means[s:s + _ROWS, None] + row_means
+        rows += total_mean
+    return row_means, total_mean
 
 
 def fit_kpca(X, params: KernelParams, q_requested: int) -> KpcaModel:
@@ -108,30 +102,29 @@ def kpca_from_gram(K, X, params: KernelParams, q_requested: int) -> KpcaModel:
     every eigenvalue sits below the floor (e.g. all points identical).
     The training features come from K alone, so any symmetric K (such as
     the linear X @ X.T) gives that kernel's; transform always evaluates
-    the RBF kernel of params.
+    the RBF kernel of params. K is overwritten: centered, then solved.
     """
     n = K.shape[0]
     if n < 2:
         raise ValueError("need at least 2 training points")
     if q_requested < 1:
         raise ValueError("q_requested must be >= 1")
-    Kbar, row_means, total_mean = center_gram(K)
-    del K  # frees fit_kpca's Gram matrix: a fit holds two N x N arrays at most
+    row_means, total_mean = center_gram(K)
 
     # Imported here so that loading and scoring a model never loads scipy.
     from scipy.linalg import eigh
 
     # Only the top eigenpairs are kept, so solve only those (LAPACK's
-    # dsyevr), in place: Kbar is a temporary. Kbar is exactly symmetric,
-    # so Kbar.T is the same matrix in the column-major order LAPACK works
-    # in, and solving it needs no copy. The rank floor needs just the
-    # largest eigenvalue, which the subset contains.
+    # dsyevr). K is exactly symmetric, so K.T is the same matrix in the
+    # column-major order LAPACK works in, and it is solved in place with
+    # no copy. The rank floor needs just the largest eigenvalue, which
+    # the subset contains.
     top = min(q_requested, n)
-    eigvals, eigvecs = eigh(Kbar.T, subset_by_index=[n - top, n - 1],
+    eigvals, eigvecs = eigh(K.T, subset_by_index=[n - top, n - 1],
                             driver="evr", overwrite_a=True)
     # Freed before the model's arrays are allocated, so that none of them
     # sits above it in the heap and keeps its memory from the OS.
-    del Kbar
+    del K
     order = np.argsort(eigvals)[::-1]
     eigvals = eigvals[order]
     eigvecs = eigvecs[:, order]

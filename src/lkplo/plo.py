@@ -204,8 +204,7 @@ def fit(X, config: FitConfig) -> LkploModel:
         F = kpca.train_features()
 
     if config.variant == "lkplo":
-        clusters = kmeans_fit(F, config.k, config.seed)
-        centroids, membership = clusters.centroids, clusters.membership
+        centroids, membership = kmeans_fit(F, config.k, config.seed)
     else:
         centroids = F.mean(axis=0)[None, :]
         membership = np.zeros(len(F), dtype=int)

@@ -79,7 +79,8 @@ def fit_kpca(X, params, q_requested):
     if q_requested < 1:
         raise ValueError("q_requested must be >= 1")
 
-    Kbar, row_means, total_mean = center_gram(gram_matrix(X, params))
+    Kbar = gram_matrix(X, params)
+    row_means, total_mean = center_gram(Kbar)
 
     eigvals, eigvecs = np.linalg.eigh(Kbar)
     order = np.argsort(eigvals)[::-1]

@@ -183,6 +183,18 @@ class TestBenchmarkCommand:
         assert rc != 0
         assert "StratificationError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--folds", "1", "k_folds (--folds) must be >= 2, got 1"),
+        ("--trials", "0", "n_trials (--trials) must be >= 1, got 0"),
+    ])
+    def test_protocol_below_minimum_named(self, tmp_path, capsys, flag, value, message):
+        rc = run("benchmark", "--data", "synth:moons", "--method", "plo",
+                 flag, value, "--out", tmp_path / "rep")
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert message in err and "Mean of empty slice" not in err
+        assert not (tmp_path / "rep.json").exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         args = ["benchmark", "--data", "synth:moons", "--method", "kplo",
                 "--folds", "3", "--trials", "2", "--seed", "1"]
@@ -300,6 +312,18 @@ class TestBoundaryGridCommand:
         assert rc == 1
         assert "--resolution must be >= 1" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_same_bytes_as_a_per_row_lattice(self, tmp_path, train_csv):
+        model_path = self.fit_2d_model(tmp_path, train_csv)
+        out = tmp_path / "grid.csv"
+        assert run("boundary-grid", "--model", model_path, "--bounds=-3,2,-1,4",
+                   "--resolution", "7", "--out", out) == 0
+        xs, ys = np.linspace(-3, 2, 7), np.linspace(-1, 4, 7)
+        grid = np.array([[x, y] for x in xs for y in ys])
+        want = "x,y,score\n" + "".join(
+            f"{float(x)!r},{float(y)!r},{float(s)!r}\n"
+            for (x, y), s in zip(grid, score(load_model(model_path), grid)))
+        assert out.read_bytes() == want.encode()
 
     def test_byte_identical_reruns(self, tmp_path, train_csv):
         model_path = self.fit_2d_model(tmp_path, train_csv)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -81,19 +83,30 @@ class TestGramMatrix:
         d2 = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
         assert np.all(K[gamma * d2 < 700] > 0)
 
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_exactly_symmetric_at_size(self, layout):
+        # No mirror makes K symmetric: numpy's symmetric rank-k update of a
+        # C-contiguous X does. A column-strided view's general product is
+        # not symmetric at this size, so gram_matrix must copy it first.
+        A = np.random.default_rng(0).standard_normal((700, 8))
+        X = {"C": A, "F": np.asfortranarray(A), "strided": A[:, ::2]}[layout]
+        K = gram_matrix(X, KernelParams(0.2))
+        assert np.array_equal(K, K.T)
+
 
 class TestCenterGram:
     def test_constant_matrix_centers_to_zero(self):
         K = np.full((4, 4), 0.7)
-        Kbar, _, total = center_gram(K)
-        np.testing.assert_allclose(Kbar, 0.0, atol=1e-12)
+        _, total = center_gram(K)
+        np.testing.assert_allclose(K, 0.0, atol=1e-12)
         assert total == pytest.approx(0.7)
 
     def test_two_by_two_hand_formula(self):
         a = 0.3
-        Kbar, row_means, total = center_gram(np.array([[1.0, a], [a, 1.0]]))
+        K = np.array([[1.0, a], [a, 1.0]])
+        row_means, _ = center_gram(K)
         expect = np.array([[(1 - a) / 2, (a - 1) / 2], [(a - 1) / 2, (1 - a) / 2]])
-        np.testing.assert_allclose(Kbar, expect, atol=1e-12)
+        np.testing.assert_allclose(K, expect, atol=1e-12)
         np.testing.assert_allclose(row_means, (1 + a) / 2)
 
     @given(st.integers(min_value=0, max_value=10_000))
@@ -102,25 +115,28 @@ class TestCenterGram:
         n = int(rng.integers(1, 15))
         A = rng.standard_normal((n, n))
         K = A + A.T
-        Kbar, _, _ = center_gram(K)
-        assert np.abs(Kbar.sum(axis=1)).max() <= 1e-9 * n
-        np.testing.assert_array_equal(Kbar, Kbar.T)
+        center_gram(K)
+        assert np.abs(K.sum(axis=1)).max() <= 1e-9 * n
+        np.testing.assert_array_equal(K, K.T)
 
     def test_matches_out_of_place_formula_across_blocks(self):
-        # 600 rows span three symmetrization blocks, the last one ragged;
-        # an asymmetric K exercises the averaging of every mirrored pair.
-        K = np.random.default_rng(5).standard_normal((600, 600))
-        r = K.mean(axis=1)
-        expect = K - r[:, None] - r[None, :] + float(K.mean())
-        expect = 0.5 * (expect + expect.T)
-        Kbar, _, _ = center_gram(K)
-        np.testing.assert_array_equal(Kbar, expect)
+        # 600 rows span three 256-row chunks, the last one ragged.
+        A = np.random.default_rng(5).standard_normal((600, 600))
+        K = A + A.T
+        r, t = K.mean(axis=1), float(K.mean())
+        expect = K - (r[:, None] + r[None, :]) + t
+        row_means, total_mean = center_gram(K)
+        assert np.array_equal(row_means, r) and total_mean == t
+        assert np.array_equal(K, expect)
+        assert np.array_equal(K, K.T)
 
     def test_idempotence(self):
         rng = np.random.default_rng(3)
         A = rng.standard_normal((8, 8))
-        Kbar, _, _ = center_gram(A + A.T)
-        Kbar2, _, _ = center_gram(Kbar)
+        Kbar = A + A.T
+        center_gram(Kbar)
+        Kbar2 = Kbar.copy()
+        center_gram(Kbar2)
         assert np.abs(Kbar2 - Kbar).max() <= 1e-9 * 8
 
 
@@ -159,9 +175,9 @@ class TestFitKpca:
         X = random_matrix(rng, 12, 2)
         model = fit_kpca(X, KernelParams(0.7), q_requested=12)
         K = gram_matrix(X, model.params)
-        Kbar, _, _ = center_gram(K)
+        center_gram(K)
         F = model.train_features()
-        assert np.abs(F @ F.T - Kbar).max() <= 1e-6
+        assert np.abs(F @ F.T - K).max() <= 1e-6
 
     def test_linear_kernel_matches_pca_scores(self):
         rng = np.random.default_rng(6)
@@ -177,6 +193,26 @@ class TestFitKpca:
             assert min(
                 np.abs(col - ref).max(), np.abs(col + ref).max()
             ) <= 1e-6
+
+    def test_fit_holds_one_gram_sized_array(self):
+        # The benchmark's fit_large input: three Gaussians plus 5% uniform
+        # outliers, N = 2000, d = 10, standardized, gamma = 1/d, q = 20.
+        # One N x N array is 30.5 MiB; the eigensolver's workspace and the
+        # model's arrays add about 4 MiB. A second N x N array would not fit.
+        rng = np.random.default_rng(0)
+        centers = rng.normal(0.0, 3.0, size=(3, 10))
+        inliers = centers[rng.integers(3, size=1900)] + rng.standard_normal((1900, 10))
+        X = np.vstack([inliers, rng.uniform(inliers.min(axis=0), inliers.max(axis=0),
+                                            size=(100, 10))])
+        X = (X - X.mean(axis=0)) / X.std(axis=0)
+        fit_kpca(X[:10], KernelParams(0.1), 2)  # imports scipy.linalg untraced
+        tracemalloc.start()
+        try:
+            fit_kpca(X, KernelParams(0.1), 20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * 2**20
 
     def test_determinism(self):
         rng = np.random.default_rng(7)
@@ -217,7 +253,9 @@ class TestTopQMatchesFullSpectrum:
         # An eigenvector is determined to about eps * lambda_max / gap, so
         # compare the ones whose eigenvalue is well separated from its
         # neighbours in the full spectrum, up to sign.
-        full = np.linalg.eigvalsh(center_gram(gram_matrix(X, params))[0])[::-1]
+        K = gram_matrix(X, params)
+        center_gram(K)
+        full = np.linalg.eigvalsh(K)[::-1]
         for j in range(got.q):
             gap = min(full[j - 1] - full[j] if j > 0 else np.inf,
                       full[j] - full[j + 1] if j + 1 < n else np.inf)
