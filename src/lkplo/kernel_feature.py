@@ -1,8 +1,9 @@
 """Stage 1: RBF kernel PCA with out-of-sample transform.
 
 Builds the Gram matrix, double-centers it, solves the symmetric
-eigenproblem for its top-q eigenpairs and keeps those above a numerical
-rank floor. Training features use the sqrt(lambda)-scaled eigenvector
+eigenproblem for its top-q eigenpairs (Lanczos above ARPACK_MIN_N
+points, a dense solve below) and keeps those above a numerical rank
+floor. Training features use the sqrt(lambda)-scaled eigenvector
 convention; new points are projected with the matching 1/sqrt(lambda)
 formula so that both agree exactly on the training set.
 """
@@ -16,6 +17,13 @@ import numpy as np
 ABS_EIG_FLOOR = 1e-10
 REL_EIG_FLOOR = 1e-12
 _ROWS = 256  # rows per chunk of an N-wide temporary (4 MB at N = 2000)
+# Above this many training points the top eigenpairs come from ARPACK's
+# Lanczos solver, at or below it from the dense dsyevr solve; a timed
+# sweep put the crossover here (README.md gives it). Lanczos also needs
+# fewer than N/10 wanted pairs: it re-orthogonalizes a basis of about
+# twice as many vectors on every restart, which costs more than the
+# dense solve once the pairs are about a tenth of N.
+ARPACK_MIN_N = 200
 
 
 class DegenerateKernelError(ValueError):
@@ -102,7 +110,12 @@ def kpca_from_gram(K, X, params: KernelParams, q_requested: int) -> KpcaModel:
     every eigenvalue sits below the floor (e.g. all points identical).
     The training features come from K alone, so any symmetric K (such as
     the linear X @ X.T) gives that kernel's; transform always evaluates
-    the RBF kernel of params. K is overwritten: centered, then solved.
+    the RBF kernel of params.
+
+    K is centered in place. Its top min(q_requested, N) eigenpairs come
+    from ARPACK's implicitly restarted Lanczos solver (scipy's eigsh) when
+    N > ARPACK_MIN_N and fewer than N/10 are wanted, and otherwise, or when
+    ARPACK fails, from LAPACK's dsyevr, which also overwrites K.
     """
     n = K.shape[0]
     if n < 2:
@@ -113,15 +126,27 @@ def kpca_from_gram(K, X, params: KernelParams, q_requested: int) -> KpcaModel:
 
     # Imported here so that loading and scoring a model never loads scipy.
     from scipy.linalg import eigh
+    from scipy.sparse.linalg import ArpackError, eigsh
 
-    # Only the top eigenpairs are kept, so solve only those (LAPACK's
-    # dsyevr). K is exactly symmetric, so K.T is the same matrix in the
-    # column-major order LAPACK works in, and it is solved in place with
-    # no copy. The rank floor needs just the largest eigenvalue, which
-    # the subset contains.
     top = min(q_requested, n)
-    eigvals, eigvecs = eigh(K.T, subset_by_index=[n - top, n - 1],
-                            driver="evr", overwrite_a=True)
+    solved = None
+    if n > ARPACK_MIN_N and 10 * top < n:
+        # Lanczos needs only products K @ v. Its start vector and restart
+        # vectors come from a fixed seed, so a fit is deterministic; the
+        # start is not the ones vector, which the centered K maps to zero.
+        rng = np.random.default_rng(0)
+        try:
+            solved = eigsh(K, k=top, which="LA", tol=0,
+                           v0=rng.uniform(-1.0, 1.0, n), rng=rng)
+        except ArpackError:  # no convergence, or K == 0 (zero start vector)
+            pass
+    if solved is None:
+        # dsyevr computes eigenvectors only for the top subset. K is
+        # exactly symmetric, so K.T is the same matrix in the column-major
+        # order LAPACK works in, and it is solved in place with no copy.
+        solved = eigh(K.T, subset_by_index=[n - top, n - 1],
+                      driver="evr", overwrite_a=True)
+    eigvals, eigvecs = solved
     # Freed before the model's arrays are allocated, so that none of them
     # sits above it in the heap and keeps its memory from the OS.
     del K
@@ -129,6 +154,8 @@ def kpca_from_gram(K, X, params: KernelParams, q_requested: int) -> KpcaModel:
     eigvals = eigvals[order]
     eigvecs = eigvecs[:, order]
 
+    # Both solvers return the top subset, which holds the largest
+    # eigenvalue that the rank floor is relative to.
     floor = max(ABS_EIG_FLOOR, REL_EIG_FLOOR * max(eigvals[0], 0.0))
     rank = int(np.sum(eigvals > floor))
     if rank == 0:

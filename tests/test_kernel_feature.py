@@ -1,12 +1,17 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 import oracles
+from lkplo import kernel_feature
 from lkplo.kernel_feature import (
+    ARPACK_MIN_N,
     DegenerateKernelError,
     KernelParams,
     _cross_kernel,
@@ -223,6 +228,35 @@ class TestFitKpca:
         np.testing.assert_array_equal(m1.eigenvalues, m2.eigenvalues)
 
 
+def assert_matches_full_spectrum(seed, n, d, gamma, q):
+    """fit_kpca agrees with the oracle's full-spectrum solve on a random
+    (n, d) input, and keeps the same number of components."""
+    rng = np.random.default_rng(seed)
+    X = random_matrix(rng, n, d, scale=rng.uniform(0.1, 3.0))
+    params = KernelParams(gamma)
+    got = fit_kpca(X, params, q)
+    want = oracles.fit_kpca(X, params, q)
+    assert got.q == want.q
+    lam = want.eigenvalues
+    # Eigenvalues far above the rank floor agree to rtol 1e-10; the
+    # solver's absolute error, ~1e-15 * lambda_max, bounds the rest.
+    big = lam >= 1e-5 * lam[0]
+    np.testing.assert_allclose(got.eigenvalues[big], lam[big], rtol=1e-10, atol=0)
+    np.testing.assert_allclose(got.eigenvalues, lam, rtol=0, atol=1e-12 * lam[0])
+    # An eigenvector is determined to about eps * lambda_max / gap, so
+    # compare the ones whose eigenvalue is well separated from its
+    # neighbours in the full spectrum, up to sign.
+    K = gram_matrix(X, params)
+    center_gram(K)
+    full = np.linalg.eigvalsh(K)[::-1]
+    for j in range(got.q):
+        gap = min(full[j - 1] - full[j] if j > 0 else np.inf,
+                  full[j] - full[j + 1] if j + 1 < n else np.inf)
+        if gap > 1e-4 * full[0]:
+            v, w = got.eigenvectors[:, j], want.eigenvectors[:, j]
+            np.testing.assert_allclose(v * np.sign(v @ w), w, rtol=0, atol=1e-9)
+
+
 class TestTopQMatchesFullSpectrum:
     """fit_kpca solves only the top min(q, N) eigenpairs; the oracle solves
     all N and keeps the top ones. Both round differently, so they agree to
@@ -238,30 +272,7 @@ class TestTopQMatchesFullSpectrum:
     @example(0, 7, 2, 1.0, 20)    # q_requested > N
     @settings(deadline=None)
     def test_matches_full_spectrum(self, seed, n, d, gamma, q):
-        rng = np.random.default_rng(seed)
-        X = random_matrix(rng, n, d, scale=rng.uniform(0.1, 3.0))
-        params = KernelParams(gamma)
-        got = fit_kpca(X, params, q)
-        want = oracles.fit_kpca(X, params, q)
-        assert got.q == want.q
-        lam = want.eigenvalues
-        # Eigenvalues far above the rank floor agree to rtol 1e-10; the
-        # solver's absolute error, ~1e-15 * lambda_max, bounds the rest.
-        big = lam >= 1e-5 * lam[0]
-        np.testing.assert_allclose(got.eigenvalues[big], lam[big], rtol=1e-10, atol=0)
-        np.testing.assert_allclose(got.eigenvalues, lam, rtol=0, atol=1e-12 * lam[0])
-        # An eigenvector is determined to about eps * lambda_max / gap, so
-        # compare the ones whose eigenvalue is well separated from its
-        # neighbours in the full spectrum, up to sign.
-        K = gram_matrix(X, params)
-        center_gram(K)
-        full = np.linalg.eigvalsh(K)[::-1]
-        for j in range(got.q):
-            gap = min(full[j - 1] - full[j] if j > 0 else np.inf,
-                      full[j] - full[j + 1] if j + 1 < n else np.inf)
-            if gap > 1e-4 * full[0]:
-                v, w = got.eigenvectors[:, j], want.eigenvectors[:, j]
-                np.testing.assert_allclose(v * np.sign(v @ w), w, rtol=0, atol=1e-9)
+        assert_matches_full_spectrum(seed, n, d, gamma, q)
 
     def test_q_above_n_clamps_to_rank(self):
         rng = np.random.default_rng(8)
@@ -284,6 +295,88 @@ class TestTopQMatchesFullSpectrum:
         X = np.full((4, 3), 2.5)
         with pytest.raises(DegenerateKernelError):
             fit_kpca(X, KernelParams(1.0), q_requested=q)
+
+
+@pytest.fixture
+def eigsh_ks(monkeypatch):
+    """The k of every call kpca_from_gram makes to scipy's eigsh."""
+    ks = []
+
+    def spy(*args, **kwargs):
+        ks.append(kwargs["k"])
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy)
+    return ks
+
+
+def assert_same_model(a, b):
+    for field in dataclasses.fields(a):
+        assert np.array_equal(getattr(a, field.name), getattr(b, field.name)), field.name
+
+
+class TestArpackPath:
+    """Above ARPACK_MIN_N points, with fewer than N/10 pairs wanted, the
+    top eigenpairs come from ARPACK's Lanczos solver instead of the dense
+    dsyevr solve; they must agree with the full spectrum to the same
+    tolerances."""
+
+    def test_solver_switches_at_the_crossover(self, eigsh_ks):
+        n, q = ARPACK_MIN_N + 1, ARPACK_MIN_N // 10
+        X = random_matrix(np.random.default_rng(0), n, 2)
+        fit_kpca(X[:-1], KernelParams(1.0), q)  # N at the crossover
+        fit_kpca(X, KernelParams(1.0), q + 1)   # 10 q >= N
+        assert eigsh_ks == []
+        fit_kpca(X, KernelParams(1.0), q)
+        assert eigsh_ks == [q]
+
+    @given(
+        st.integers(0, 10_000),
+        st.integers(ARPACK_MIN_N + 1, 2 * ARPACK_MIN_N),
+        st.integers(1, 4),
+        st.floats(0.05, 5.0),
+        st.integers(1, ARPACK_MIN_N // 10),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_matches_full_spectrum(self, seed, n, d, gamma, q):
+        assert_matches_full_spectrum(seed, n, d, gamma, q)
+
+    def test_double_eigenvalue_keeps_both_copies(self):
+        # A 17 x 17 lattice is symmetric under swapping its axes, so the
+        # top eigenvalue of its centered Gram matrix is double.
+        g = np.linspace(-1.0, 1.0, 17)
+        X = np.column_stack([np.repeat(g, 17), np.tile(g, 17)])
+        got = fit_kpca(X, KernelParams(1.0), 5)
+        want = oracles.fit_kpca(X, KernelParams(1.0), 5)
+        assert got.q == want.q == 5
+        assert got.eigenvalues[0] == pytest.approx(50.51, abs=0.01)
+        np.testing.assert_allclose(got.eigenvalues, want.eigenvalues, rtol=1e-10, atol=0)
+
+    def test_low_rank_fit_keeps_rank_and_is_deterministic(self):
+        # Five distinct points give a rank-four centered Gram matrix: the
+        # Lanczos basis runs out and restarts from seeded random vectors.
+        X = np.repeat(random_matrix(np.random.default_rng(1), 5, 2), 60, axis=0)
+        first = fit_kpca(X, KernelParams(1.0), 20)
+        assert first.q == oracles.fit_kpca(X, KernelParams(1.0), 20).q == 4
+        assert_same_model(first, fit_kpca(X, KernelParams(1.0), 20))
+
+    def test_identical_points_degenerate(self):
+        # K is zero after centering, so ARPACK rejects its start vector and
+        # the dense solve finds no eigenvalue above the floor.
+        with pytest.raises(DegenerateKernelError):
+            fit_kpca(np.full((ARPACK_MIN_N + 100, 3), 2.5), KernelParams(1.0), 5)
+
+    def test_no_convergence_falls_back_to_dense(self, monkeypatch):
+        X = random_matrix(np.random.default_rng(2), ARPACK_MIN_N + 100, 3)
+        monkeypatch.setattr(kernel_feature, "ARPACK_MIN_N", len(X))
+        dense = fit_kpca(X, KernelParams(0.5), 10)
+        monkeypatch.undo()
+
+        def no_convergence(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((len(X), 0)))
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+        assert_same_model(fit_kpca(X, KernelParams(0.5), 10), dense)
 
 
 class TestTransform:
