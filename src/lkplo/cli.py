@@ -3,8 +3,8 @@ protocol, run the ablation ladder, generate synthetic datasets, and
 export decision-boundary score grids.
 
 A config file (INI-style, one section per subcommand, flat key = value
-entries) can pre-set any flag; explicit flags override file values, and
-unknown keys are rejected.
+entries) can set any flag, required ones included; explicit flags
+override file values, and unknown keys are rejected.
 """
 
 import argparse
@@ -220,41 +220,41 @@ def build_parser():
     return parser
 
 
-def _apply_config_file(parser, sub_parser_name, args, argv):
-    """Merge config-file values under the command's section; flags given
-    on the command line win. Unknown keys are an error."""
+def _config_flags(path, command):
+    """{--key=value flag: key} for each entry of section [command] in the
+    config file at path."""
     cp = configparser.ConfigParser()
-    with open(args.config, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh:
         cp.read_file(fh)
-    if not cp.has_section(sub_parser_name):
-        return args
-    known = {k for k in vars(args) if k not in ("command", "func", "config")}
-    explicit = set()
-    for tok in argv:
-        if tok.startswith("--"):
-            explicit.add(tok[2:].split("=", 1)[0].replace("-", "_"))
-    overrides = []
-    for key, value in cp.items(sub_parser_name):
-        dest = key.replace("-", "_")
-        if dest not in known:
-            raise ValueError(
-                f"unknown config key {key!r} in section [{sub_parser_name}]"
-            )
-        if dest in explicit:
-            continue
-        overrides.append(f"--{key.replace('_', '-')}={value}")
-    if overrides:
-        args = parser.parse_args([sub_parser_name] + overrides + argv[1:])
-    return args
+    if not cp.has_section(command):
+        return {}
+    if cp.has_option(command, "config"):
+        raise ValueError(f"unknown config key 'config' in section [{command}]")
+    return {f"--{key.replace('_', '-')}={value}": key
+            for key, value in cp.items(command)}
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
+    # --config is read first, and only when spelled out (so "--c 5.0" stays
+    # the margin flag); the file's flags then go before the command line's,
+    # where argparse lets the last one win.
+    pre = argparse.ArgumentParser(prog="lkplo", add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
+    config = pre.parse_known_args(argv)[0].config
     try:
-        if getattr(args, "config", None):
-            args = _apply_config_file(parser, args.command, args, argv)
+        from_file = _config_flags(config, argv[0]) if config else {}
+        args, extra = parser.parse_known_args(argv[:1] + list(from_file) + argv[1:])
+        unknown = [from_file[flag] for flag in extra if flag in from_file]
+        if unknown:
+            raise ValueError(
+                f"unknown config key {unknown[0]!r} in section [{argv[0]}]"
+            )
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        if args.config != config:
+            raise ValueError("--config must be spelled out in full")
         return args.func(args)
     except Exception as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -11,7 +11,7 @@ model is fit on, never of the evaluated rows.
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
 
@@ -144,55 +144,39 @@ def random_search(space: dict, n_trials: int, seed: int,
 # --- methods -----------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class Method:
-    """A tunable detector: build(params, seed) returns an estimator with
-    fit(X) -> itself and score(X) -> outlyingness. space maps each tuned
-    parameter to its ParamSpec; an empty space (or None) tunes nothing."""
+    """A benchmark method: one detector variant with one loss kind."""
 
     name: str
-    space: Optional[dict]
-    build: Callable[[dict, int], "object"]
+    variant: str    # "plo" | "kplo" | "lkplo"
+    loss_kind: str  # "robust_z" | "svm_like"
 
+    @property
+    def space(self) -> dict:
+        """Tuned parameter -> ParamSpec: K in [2, 30], gamma log-uniform
+        in [1e-4, 1e1], q in [5, 30], c uniform in [1, 5]; entries appear
+        only where the variant or the loss uses them."""
+        space = {}
+        if self.variant in ("kplo", "lkplo"):
+            space["gamma"] = ParamSpec("loguniform", 1e-4, 1e1)
+            space["q"] = ParamSpec("int", 5, 30)
+        if self.variant == "lkplo":
+            space["k"] = ParamSpec("int", 2, 30)
+        if self.loss_kind == "svm_like":
+            space["c"] = ParamSpec("uniform", 1.0, 5.0)
+        return space
 
-class _Detector:
-    """Adapter from flat search parameters to the core fit/score calls.
-
-    k is clamped to the training size so the search never aborts on
-    small inner splits (q already clamps to rank inside the kernel map).
-    """
-
-    def __init__(self, variant, loss_kind, params, seed):
-        self.config = FitConfig(
-            variant=variant,
-            loss=LossSpec(loss_kind, params.get("c")),
-            gamma=float(params.get("gamma", 1.0)),
-            q=int(params.get("q", 10)),
-            k=int(params.get("k", 1)),
-            seed=seed,
-        )
-
-    def fit(self, X):
-        self.model = plo_fit(X, replace(self.config, k=min(self.config.k, len(X))))
-        return self
-
-    def score(self, X):
-        return plo_score(self.model, X)
-
-
-def _method(name: str, variant: str, loss_kind: str) -> Method:
-    """Hyperparameter ranges: K in [2, 30], gamma log-uniform in
-    [1e-4, 1e1], q in [5, 30], c uniform in [1, 5]; entries appear only
-    where the variant uses them."""
-    space = {}
-    if variant in ("kplo", "lkplo"):
-        space["gamma"] = ParamSpec("loguniform", 1e-4, 1e1)
-        space["q"] = ParamSpec("int", 5, 30)
-    if variant == "lkplo":
-        space["k"] = ParamSpec("int", 2, 30)
-    if loss_kind == "svm_like":
-        space["c"] = ParamSpec("uniform", 1.0, 5.0)
-    return Method(name, space, partial(_Detector, variant, loss_kind))
+    def config(self, params: dict, seed: int, n_rows: int) -> FitConfig:
+        """The fit of searched params on n_rows rows; unsearched fields
+        keep FitConfig's defaults. k is clamped to n_rows so the search
+        never aborts on small inner splits (q already clamps to rank
+        inside the kernel map)."""
+        fields = dict(params)
+        loss = LossSpec(self.loss_kind, fields.pop("c", None))
+        if "k" in fields:
+            fields["k"] = min(fields["k"], n_rows)
+        return FitConfig(self.variant, loss, seed=seed, **fields)
 
 
 # Method name, detector variant, loss kind.
@@ -202,9 +186,7 @@ METHOD_TABLE = (
     ("lkplo-svm", "lkplo", "svm_like"),
     ("lkplo-rz", "lkplo", "robust_z"),
 )
-METHODS = {
-    name: partial(_method, name, variant, loss) for name, variant, loss in METHOD_TABLE
-}
+METHODS = {row[0]: partial(Method, *row) for row in METHOD_TABLE}
 
 
 # --- protocol ----------------------------------------------------------------
@@ -257,38 +239,35 @@ def _fit_fold(dataset: Dataset, train_idx, method: Method, protocol: Protocol,
               fold: int):
     """Tune and refit one outer fold; touches only outer-train rows.
 
-    Returns (estimator fitted on the full outer-train split, the
+    Returns (the model fitted on the full outer-train split, the
     standardizer fitted on it, best params, trial log).
     """
     X_train, y_train = dataset.X[train_idx], dataset.y[train_idx]
     fit_seed = _derive_seed(protocol.seed, fold, 1)
 
-    if method.space:
-        inner = stratified_kfold(y_train, INNER_FOLDS,
-                                 _derive_seed(protocol.seed, fold, 0))
-        val_mask = inner == 0
-        scaler = fit_standardizer(X_train[~val_mask])
-        X_fit = apply_standardizer(scaler, X_train[~val_mask])
-        X_val = apply_standardizer(scaler, X_train[val_mask])
-        y_val = y_train[val_mask]
+    inner = stratified_kfold(y_train, INNER_FOLDS, _derive_seed(protocol.seed, fold, 0))
+    val_mask = inner == 0
+    scaler = fit_standardizer(X_train[~val_mask])
+    X_fit = apply_standardizer(scaler, X_train[~val_mask])
+    X_val = apply_standardizer(scaler, X_train[val_mask])
+    y_val = y_train[val_mask]
 
-        def objective(params):
-            est = method.build(params, fit_seed).fit(X_fit)
-            return roc_auc(est.score(X_val), y_val)
+    def objective(params):
+        model = plo_fit(X_fit, method.config(params, fit_seed, len(X_fit)))
+        return roc_auc(plo_score(model, X_val), y_val)
 
-        try:
-            best, trials = random_search(
-                method.space, protocol.n_trials,
-                _derive_seed(protocol.seed, fold, 2), objective,
-            )
-        except ValueError as exc:
-            raise ValueError(f"fold {fold}: {exc}") from exc
-    else:
-        best, trials = {}, []
+    try:
+        best, trials = random_search(
+            method.space, protocol.n_trials,
+            _derive_seed(protocol.seed, fold, 2), objective,
+        )
+    except ValueError as exc:
+        raise ValueError(f"fold {fold}: {exc}") from exc
 
     scaler = fit_standardizer(X_train)
-    est = method.build(best, fit_seed).fit(apply_standardizer(scaler, X_train))
-    return est, scaler, best, trials
+    model = plo_fit(apply_standardizer(scaler, X_train),
+                    method.config(best, fit_seed, len(X_train)))
+    return model, scaler, best, trials
 
 
 def evaluate_method(dataset: Dataset, method: Method,
@@ -305,11 +284,11 @@ def evaluate_method(dataset: Dataset, method: Method,
     for fold in range(protocol.k_folds):
         test_mask = folds == fold
         train_idx = np.flatnonzero(~test_mask)
-        est, scaler, best, trials = _fit_fold(
+        model, scaler, best, trials = _fit_fold(
             dataset, train_idx, method, protocol, fold
         )
         X_test = apply_standardizer(scaler, dataset.X[test_mask])
-        aucs.append(roc_auc(est.score(X_test), dataset.y[test_mask]))
+        aucs.append(roc_auc(plo_score(model, X_test), dataset.y[test_mask]))
         fold_params.append(best)
         trial_logs.append(trials)
 

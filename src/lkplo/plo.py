@@ -10,6 +10,7 @@ features again.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -326,45 +327,64 @@ def model_to_dict(model: LkploModel) -> dict:
     return d
 
 
-def _check_shape(field, a, shape):
+def _check_array(field, a, shape):
     """Raise a ValueError naming field unless a has shape (an entry of
-    None matches any length)."""
+    None matches any length) and only finite values."""
     if a.ndim != len(shape) or any(
         want is not None and got != want for got, want in zip(a.shape, shape)
     ):
         want = str(shape).replace("None", "*")
         raise ValueError(f"model field {field} has shape {a.shape}, expected {want}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"model field {field} has a non-finite value")
+
+
+def _finite(field, value):
+    """value, unless it is a non-finite number (json.load reads NaN and
+    Infinity); then a ValueError naming field."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"model field {field} is {value}")
+    return value
 
 
 def _check_model(model: LkploModel, k: int):
-    """Check every array score reads against d, q and the stored cluster
-    count k, so a malformed model file fails at load, not halfway through
-    a score batch. Fields are named by their path in the file."""
+    """Check the variant, and every array score reads against d, q and
+    the stored cluster count k, so a malformed model file fails at load,
+    not halfway through a score batch. Fields are named by their path in
+    the file."""
+    if model.variant not in VARIANTS:
+        raise ValueError(f"model field variant is {model.variant!r}, "
+                         f"expected one of {VARIANTS}")
+    if (model.kpca is None) != (model.variant == "plo"):
+        state = "null" if model.kpca is None else "set"
+        raise ValueError(f"model field kpca is {state} for variant {model.variant!r}")
     q = model.d
     if model.kpca is not None:
         kpca = model.kpca
-        _check_shape("kpca.train_points", kpca.train_points, (None, model.d))
+        _check_array("kpca.train_points", kpca.train_points, (None, model.d))
         n = len(kpca.train_points)
         q = kpca.q
-        _check_shape("kpca.eigenvectors", kpca.eigenvectors, (n, q))
-        _check_shape("kpca.eigenvalues", kpca.eigenvalues, (q,))
+        _check_array("kpca.eigenvectors", kpca.eigenvectors, (n, q))
+        _check_array("kpca.eigenvalues", kpca.eigenvalues, (q,))
         if not np.all(kpca.eigenvalues > 0):
             raise ValueError("model field kpca.eigenvalues has a value <= 0")
-        _check_shape("kpca.gram_row_means", kpca.gram_row_means, (n,))
-    _check_shape("clusters.centroids", model.centroids, (k, q))
-    _check_shape("clusters.sizes", model.sizes, (k,))
+        _check_array("kpca.gram_row_means", kpca.gram_row_means, (n,))
+    _check_array("clusters.centroids", model.centroids, (k, q))
+    _check_array("clusters.sizes", model.sizes, (k,))
     if not np.all(model.sizes >= 1):
         raise ValueError("model field clusters.sizes has a value < 1")
+    if not np.all(model.sizes == np.round(model.sizes)):
+        raise ValueError("model field clusters.sizes has a non-integer value")
     if len(model.directions) != k:
         raise ValueError(
             f"model field per_cluster has {len(model.directions)} entries, expected {k}"
         )
     per_cluster = zip(model.directions, model.medians, model.mads)
     for j, (u, medians, mads) in enumerate(per_cluster):
-        _check_shape(f"per_cluster[{j}].directions", u, (None, q))
+        _check_array(f"per_cluster[{j}].directions", u, (None, q))
         n_dir = len(u)
-        _check_shape(f"per_cluster[{j}].medians", medians, (n_dir,))
-        _check_shape(f"per_cluster[{j}].mads", mads, (n_dir,))
+        _check_array(f"per_cluster[{j}].medians", medians, (n_dir,))
+        _check_array(f"per_cluster[{j}].mads", mads, (n_dir,))
 
 
 def model_from_dict(d: dict) -> LkploModel:
@@ -375,26 +395,29 @@ def model_from_dict(d: dict) -> LkploModel:
         kd = d["kpca"]
         kpca = KpcaModel(
             train_points=np.asarray(kd["train_points"], dtype=float),
-            params=KernelParams(kd["gamma"]),
-            q=kd["q"],
+            params=KernelParams(_finite("kpca.gamma", kd["gamma"])),
+            q=_finite("kpca.q", kd["q"]),
             eigenvalues=np.asarray(kd["eigenvalues"], dtype=float),
             eigenvectors=np.asarray(kd["eigenvectors"], dtype=float),
             gram_row_means=np.asarray(kd["gram_row_means"], dtype=float),
-            gram_total_mean=kd["gram_total_mean"],
+            gram_total_mean=_finite("kpca.gram_total_mean", kd["gram_total_mean"]),
         )
     cd = d["clusters"]
     model = LkploModel(
         variant=d["variant"],
         kpca=kpca,
-        loss=LossSpec(kind=d["loss"]["kind"], c=d["loss"]["c"]),
+        loss=LossSpec(kind=d["loss"]["kind"], c=_finite("loss.c", d["loss"]["c"])),
         centroids=np.asarray(cd["centroids"], dtype=float),
-        sizes=np.asarray(cd["sizes"], dtype=int),
+        # Read as floats, so that a fractional size fails the check
+        # rather than being truncated.
+        sizes=np.asarray(cd["sizes"], dtype=float),
         directions=[np.asarray(e["directions"], dtype=float) for e in d["per_cluster"]],
         medians=[np.asarray(e["medians"], dtype=float) for e in d["per_cluster"]],
         mads=[np.asarray(e["mads"], dtype=float) for e in d["per_cluster"]],
-        d=d["d"],
+        d=_finite("d", d["d"]),
     )
-    _check_model(model, cd["k"])
+    _check_model(model, _finite("clusters.k", cd["k"]))
+    model.sizes = model.sizes.astype(int)
     return model
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
-from lkplo import cli
+from lkplo import cli, evaluation
 from lkplo.clustering import _lloyd, assign_nearest, kmeans_fit
 from lkplo.data import (
     Dataset,
@@ -18,7 +18,6 @@ from lkplo.data import (
 )
 from lkplo.evaluation import (
     METHODS,
-    Method,
     Protocol,
     _fit_fold,
     evaluate_method,
@@ -346,32 +345,31 @@ def test_invariant_fold_stratification_bounds():
     check("criterion 5: fold stratification within one sample (1000 cases)", True)
 
 
-class _FirstFeature:
-    def fit(self, X):
-        return self
-
-    def score(self, X):
-        return X[:, 0]
-
-
-def test_invariant_no_leakage():
-    method = Method("first", None, lambda p, s: _FirstFeature())
+def test_invariant_no_leakage(monkeypatch):
+    # Each fit returns the rows it was given, so the fold's model is what
+    # it fit on; scoring by the first feature keeps the search cheap.
+    monkeypatch.setattr(evaluation, "plo_fit", lambda X, config: X)
+    monkeypatch.setattr(evaluation, "plo_score", lambda model, X: X[:, 0])
+    method = METHODS["lkplo-svm"]()
     protocol = Protocol(k_folds=3, n_trials=1)
     rng = np.random.default_rng(207)
     for _ in range(N_CASES):
         n = int(rng.integers(12, 30))
         y = rng.integers(0, 2, n)
-        y[:3] = 1
-        y[3:6] = 0
+        # Six of each class leave four per class in the outer-train split,
+        # enough for the 4-fold inner (75/25) tuning split.
+        y[:6] = 1
+        y[6:12] = 0
         ds = Dataset("t", rng.standard_normal((n, 2)), y)
         folds = stratified_kfold(ds.y, protocol.k_folds, protocol.seed)
         train_idx = np.flatnonzero(folds != 0)
-        _, scaler_a, _, _ = _fit_fold(ds, train_idx, method, protocol, 0)
+        fit_a, scaler_a, _, _ = _fit_fold(ds, train_idx, method, protocol, 0)
         perturbed = Dataset(ds.name, ds.X.copy(), ds.y)
         perturbed.X[folds == 0] += 1e6
-        _, scaler_b, _, _ = _fit_fold(perturbed, train_idx, method, protocol, 0)
+        fit_b, scaler_b, _, _ = _fit_fold(perturbed, train_idx, method, protocol, 0)
         assert np.array_equal(scaler_a.means, scaler_b.means)
         assert np.array_equal(scaler_a.stds, scaler_b.stds)
+        assert np.array_equal(fit_a, fit_b)
     check("criterion 5: no leakage from held-out rows (1000 cases)", True)
 
 

@@ -79,6 +79,20 @@ class TestFitCommand:
                        "--loss", "robust_z", "--seed", seed) == 0
             assert (ref.read_bytes() == out.read_bytes()) is same
 
+    def test_config_file_supplies_required_flag(self, tmp_path, train_csv, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[fit]\ndata = {train_csv}\nvariant = plo\nc = 4.0\n")
+        out, ref = tmp_path / "m.json", tmp_path / "ref.json"
+        # --data comes from the file; "--c" is the margin flag, which wins
+        # over the file's c, not an abbreviation of --config.
+        assert run("fit", "--config", cfg, "--out", out, "--c", "3.0") == 0
+        assert run("fit", "--data", train_csv, "--out", ref, "--variant", "plo",
+                   "--c", "3.0") == 0
+        assert out.read_bytes() == ref.read_bytes()
+        # An abbreviated --config would leave the file unread.
+        assert run("fit", "--conf", cfg, "--data", train_csv, "--out", out) == 1
+        assert "--config must be spelled out" in capsys.readouterr().err
+
     def test_negative_direction_count_fails(self, tmp_path, train_csv, capsys):
         rc = run("fit", "--data", train_csv, "--out", tmp_path / "m.json",
                  "--n-random", "-5")
@@ -93,6 +107,10 @@ class TestFitCommand:
                  "--config", cfg)
         assert rc != 0
         assert "not_a_key" in capsys.readouterr().err
+        cfg.write_text("[fit]\nconfig = other.ini\n")  # a file names no other file
+        assert run("fit", "--data", train_csv, "--out", tmp_path / "m.json",
+                   "--config", cfg) != 0
+        assert "unknown config key 'config'" in capsys.readouterr().err
 
 
 class TestScoreCommand:

@@ -6,11 +6,12 @@ from scipy.stats import rankdata
 
 import oracles
 
+from lkplo import evaluation
 from lkplo.clustering import InvalidKError
 from lkplo.data import Dataset, gen_three_gaussians
 from lkplo.evaluation import (
+    METHOD_TABLE,
     METHODS,
-    Method,
     ParamSpec,
     Protocol,
     StratificationError,
@@ -23,7 +24,7 @@ from lkplo.evaluation import (
     stratified_kfold,
 )
 from lkplo.kernel_feature import DegenerateKernelError
-from lkplo.plo import DegenerateDirectionsError
+from lkplo.plo import DegenerateDirectionsError, FitConfig, LossSpec
 
 
 class TestStratifiedKfold:
@@ -205,25 +206,49 @@ class TestRandomSearch:
         assert sum(v < 1e-1 for v in vals) > 20  # spread over decades
 
 
-class _FixedScorer:
-    """Scores each row by a fixed function of its features."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def fit(self, X):
-        return self
-
-    def score(self, X):
-        return self.fn(X)
-
-
-def constant_method():
-    return Method("const", None, lambda p, s: _FixedScorer(lambda X: np.zeros(len(X))))
+# The tuned ranges of each method, as the README lists them.
+GAMMA = ParamSpec("loguniform", 1e-4, 10.0)
+Q = ParamSpec("int", 5, 30)
+K = ParamSpec("int", 2, 30)
+C = ParamSpec("uniform", 1.0, 5.0)
+SPACES = {
+    "plo": {"c": C},
+    "kplo": {"gamma": GAMMA, "q": Q, "c": C},
+    "lkplo-svm": {"gamma": GAMMA, "q": Q, "k": K, "c": C},
+    "lkplo-rz": {"gamma": GAMMA, "q": Q, "k": K},
+}
 
 
-def first_feature_method():
-    return Method("first", None, lambda p, s: _FixedScorer(lambda X: X[:, 0]))
+class TestMethods:
+    @pytest.mark.parametrize("name,variant,loss_kind", METHOD_TABLE,
+                             ids=[row[0] for row in METHOD_TABLE])
+    def test_space_and_config(self, name, variant, loss_kind):
+        method = METHODS[name]()
+        assert (method.name, method.variant, method.loss_kind) == (
+            name, variant, loss_kind)
+        assert method.space == SPACES[name]
+
+        rng = np.random.default_rng(8)
+        params = {key: spec.sample(rng) for key, spec in method.space.items()}
+        drawn = dict(params)
+        defaults = FitConfig(variant, LossSpec("robust_z"))
+        config = method.config(params, seed=7, n_rows=100)
+        assert params == drawn  # the trial log keeps what was drawn
+        assert config.variant == variant
+        assert config.loss == LossSpec(loss_kind, params.get("c"))
+        assert config.gamma == params.get("gamma", defaults.gamma)
+        assert config.q == params.get("q", defaults.q)
+        assert config.k == params.get("k", defaults.k)
+        assert config.direction_config == defaults.direction_config
+        assert config.seed == 7
+        assert method.config(params, seed=7, n_rows=1).k == 1
+
+
+def stub_detector(monkeypatch, score_fn, fit_fn=lambda X: None):
+    """Make the harness's fits fit_fn(X) and its scores score_fn(X),
+    through the module globals every fit and score goes through."""
+    monkeypatch.setattr(evaluation, "plo_fit", lambda X, config: fit_fn(X))
+    monkeypatch.setattr(evaluation, "plo_score", lambda model, X: score_fn(X))
 
 
 def label_coded_dataset(seed, n=60):
@@ -237,15 +262,17 @@ def label_coded_dataset(seed, n=60):
 
 
 class TestEvaluateMethod:
-    def test_constant_scorer_gives_half(self):
+    def test_constant_scorer_gives_half(self, monkeypatch):
+        stub_detector(monkeypatch, lambda X: np.zeros(len(X)))
         ds = label_coded_dataset(0)
-        report = evaluate_method(ds, constant_method(), Protocol(n_trials=1))
+        report = evaluate_method(ds, METHODS["plo"](), Protocol(n_trials=1))
         assert report.mean == pytest.approx(0.5)
         assert report.std == pytest.approx(0.0)
 
-    def test_oracle_scorer_gives_one(self):
+    def test_oracle_scorer_gives_one(self, monkeypatch):
+        stub_detector(monkeypatch, lambda X: X[:, 0])
         ds = label_coded_dataset(1)
-        report = evaluate_method(ds, first_feature_method(), Protocol(n_trials=1))
+        report = evaluate_method(ds, METHODS["plo"](), Protocol(n_trials=1))
         assert report.mean == pytest.approx(1.0)
 
     def test_lkplo_on_three_gaussians(self):
@@ -257,9 +284,10 @@ class TestEvaluateMethod:
         assert len(report.fold_aucs) == 5
         assert len(report.fold_params) == 5
 
-    def test_mean_std_recomputable(self):
+    def test_mean_std_recomputable(self, monkeypatch):
+        stub_detector(monkeypatch, lambda X: X[:, 0])
         ds = label_coded_dataset(2)
-        report = evaluate_method(ds, first_feature_method(), Protocol(n_trials=1))
+        report = evaluate_method(ds, METHODS["plo"](), Protocol(n_trials=1))
         aucs = np.asarray(report.fold_aucs)
         assert report.mean == pytest.approx(aucs.mean())
         assert report.std == pytest.approx(aucs.std())
@@ -283,31 +311,30 @@ class TestEvaluateMethod:
         np.testing.assert_array_equal(scaler_a.stds, scaler_b.stds)
         assert best_a == best_b
 
-    def test_fold_with_every_trial_failed_raises(self):
+    def test_fold_with_every_trial_failed_raises(self, monkeypatch):
         # Without the check the search returned trial 0's parameters and
         # the fold reported a normal-looking AUC.
-        def build(params, seed):
-            def fail(X):
-                raise DegenerateDirectionsError("no usable projection directions")
-            return _FixedScorer(fail)
+        def fail(X):
+            raise DegenerateDirectionsError("no usable projection directions")
 
-        method = Method("broken", {"k": ParamSpec("int", 2, 30)}, build)
+        stub_detector(monkeypatch, lambda X: X[:, 0], fit_fn=fail)
         with pytest.raises(ValueError, match=r"^fold 0: all 2 search trials failed; "
                            r"trial 0: DegenerateDirectionsError: no usable"):
-            evaluate_method(label_coded_dataset(6), method, Protocol(n_trials=2))
+            evaluate_method(label_coded_dataset(6), METHODS["lkplo-rz"](),
+                            Protocol(n_trials=2))
 
-    def test_programming_error_in_a_trial_propagates(self):
-        method = Method("typo", {"k": ParamSpec("int", 2, 30)},
-                        lambda p, s: _FixedScorer(lambda X: X[:, "0"]))
+    def test_programming_error_in_a_trial_propagates(self, monkeypatch):
+        stub_detector(monkeypatch, lambda X: X[:, "0"])
         with pytest.raises(IndexError):
-            evaluate_method(label_coded_dataset(7), method, Protocol(n_trials=2))
+            evaluate_method(label_coded_dataset(7), METHODS["lkplo-rz"](),
+                            Protocol(n_trials=2))
 
     def test_propagates_stratification_error(self):
         rng = np.random.default_rng(4)
         ds = Dataset("tiny", rng.standard_normal((20, 2)),
                      np.array([1] * 2 + [0] * 18))
         with pytest.raises(StratificationError):
-            evaluate_method(ds, constant_method(), Protocol())
+            evaluate_method(ds, METHODS["plo"](), Protocol())
 
 
 class TestRunAblation:

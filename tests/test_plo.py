@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from dataclasses import replace
 
@@ -476,6 +477,19 @@ CORRUPTIONS = [
     ("kpca.eigenvalues", lambda d: _drop_last("eigenvalues")(d["kpca"])),
     ("kpca.eigenvalues", lambda d: d["kpca"]["eigenvalues"].__setitem__(-1, 0.0)),
     ("kpca.gram_row_means", lambda d: _drop_last("gram_row_means")(d["kpca"])),
+    # json.load reads NaN and Infinity, so every number is checked for them.
+    ("per_cluster[0].mads", lambda d: d["per_cluster"][0]["mads"].__setitem__(0, math.nan)),
+    ("per_cluster[1].directions", lambda d: d["per_cluster"][1]["directions"][0]
+     .__setitem__(1, math.inf)),
+    ("clusters.centroids", lambda d: d["clusters"]["centroids"][2].__setitem__(0, -math.inf)),
+    ("kpca.eigenvectors", lambda d: d["kpca"]["eigenvectors"][3].__setitem__(0, math.nan)),
+    ("kpca.gamma", lambda d: d["kpca"].update(gamma=math.inf)),
+    ("kpca.gram_total_mean", lambda d: d["kpca"].update(gram_total_mean=math.nan)),
+    ("loss.c", lambda d: d["loss"].update(c=math.nan)),
+    ("variant", lambda d: d.update(variant="klpo")),
+    ("kpca", lambda d: d.update(kpca=None)),
+    ("kpca", lambda d: d.update(variant="plo")),
+    ("clusters.sizes", lambda d: d["clusters"]["sizes"].__setitem__(0, 2.5)),
 ]
 
 
