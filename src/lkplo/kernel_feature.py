@@ -4,11 +4,18 @@ Builds the Gram matrix, double-centers it, solves the symmetric
 eigenproblem for its top-q eigenpairs (Lanczos above ARPACK_MIN_N
 points, a dense solve below) and keeps those above a numerical rank
 floor. Training features use the sqrt(lambda)-scaled eigenvector
-convention; new points are projected with the matching 1/sqrt(lambda)
-formula so that both agree exactly on the training set.
+convention, f_i = sqrt(lambda) v_i. A new point x is centered with the
+training row means r and mean t and projected onto V / sqrt(lambda),
+which gives the same features on the training set. With A = V / sqrt(lambda)
+that projection folds into one product and two fixed offsets,
+
+    f(x) = k(x) A - mean(k(x)) (1^T A) - (r - t 1)^T A,
+
+so a batch of new points needs no centered copy of its kernel rows.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,6 +62,23 @@ class KpcaModel:
         """Training rows in feature space: f_i^(j) = sqrt(lambda_j) v_ij."""
         return self.eigenvectors * np.sqrt(self.eigenvalues)
 
+    @cached_property
+    def projection(self):
+        """(A, 1^T A, (r - t 1)^T A) with A = V / sqrt(lambda): what
+        transform multiplies and subtracts. Derived on first use rather
+        than at construction, so that a model read from a file is checked
+        before any arithmetic runs on it, and never written to the file."""
+        A = self.eigenvectors / np.sqrt(self.eigenvalues)
+        offset = (self.gram_row_means - self.gram_total_mean) @ A
+        return A, A.sum(axis=0), offset
+
+
+def _check_finite(X, what):
+    """Raise a ValueError naming the first row of X with a NaN or inf."""
+    bad = ~np.isfinite(X).all(axis=1)
+    if bad.any():
+        raise ValueError(f"{what} row {int(np.argmax(bad))} is not finite")
+
 
 def _cross_kernel(X, Y, params: KernelParams) -> np.ndarray:
     """RBF kernel evaluations between the rows of X (M, d) and Y (N, d);
@@ -98,6 +122,7 @@ def center_gram(K):
 def fit_kpca(X, params: KernelParams, q_requested: int) -> KpcaModel:
     """Fit the RBF kernel feature map on the rows of X; see kpca_from_gram."""
     X = np.asarray(X, dtype=float)
+    _check_finite(X, "training")
     return kpca_from_gram(gram_matrix(X, params), X, params, q_requested)
 
 
@@ -186,19 +211,24 @@ def kpca_from_gram(K, X, params: KernelParams, q_requested: int) -> KpcaModel:
 def transform(model: KpcaModel, Xnew) -> np.ndarray:
     """Project new points into the fitted q-dimensional feature space.
 
-    Out-of-sample centering reuses the training row means / total mean:
-    kbar(x, x_i) = k(x, x_i) - mean_i'(k(x, x_i')) - row_means[i] + total_mean.
+    Out-of-sample centering reuses the training row means r and mean t,
+    kbar(x, x_i) = k(x, x_i) - mean_i'(k(x, x_i')) - r_i + t, and the
+    centered row is projected onto A = V / sqrt(lambda). Both steps are
+    folded into k(x) A - mean(k(x)) (1^T A) - (r - t 1)^T A, whose A and
+    offsets model.projection derives once. The mean(k(x)) term stays:
+    the columns of V are orthogonal to the ones vector only to rounding,
+    and for a component near the rank floor 1/sqrt(lambda) makes 1^T A
+    far from zero.
     """
     Xnew = np.asarray(Xnew, dtype=float)
     if Xnew.ndim != 2 or Xnew.shape[1] != model.train_points.shape[1]:
         raise ValueError(
             f"expected (M, {model.train_points.shape[1]}) input, got {Xnew.shape}"
         )
+    _check_finite(Xnew, "input")
+    A, col_sums, offset = model.projection
     Kx = _cross_kernel(Xnew, model.train_points, model.params)
-    Kx_bar = (
-        Kx
-        - Kx.mean(axis=1)[:, None]
-        - model.gram_row_means[None, :]
-        + model.gram_total_mean
-    )
-    return (Kx_bar @ model.eigenvectors) / np.sqrt(model.eigenvalues)
+    F = Kx @ A
+    F -= Kx.mean(axis=1)[:, None] * col_sums
+    F -= offset
+    return F

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .clustering import assign_nearest, kmeans_fit
-from .kernel_feature import KernelParams, KpcaModel, fit_kpca, transform
+from .kernel_feature import KernelParams, KpcaModel, _check_finite, fit_kpca, transform
 
 MAD_CONSISTENCY = 1.4826
 # Robust-Z divides by the MAD, which is 0 for constant projections; the
@@ -170,13 +170,6 @@ def _losses(proj, medians, mads, loss: LossSpec):
     if loss.kind == "robust_z":
         return np.abs(proj - medians) / np.maximum(mads, MAD_FLOOR)
     return np.maximum(0.0, np.abs(proj) - loss.c * mads)
-
-
-def _check_finite(X, what):
-    """Raise a ValueError naming the first row of X with a NaN or inf."""
-    bad = ~np.isfinite(X).all(axis=1)
-    if bad.any():
-        raise ValueError(f"{what} row {int(np.argmax(bad))} is not finite")
 
 
 def _derive_seed(seed: int, *key) -> int:

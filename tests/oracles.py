@@ -5,8 +5,9 @@ or per-row loop, k-means' per-call row norms, rng.choice in k-means++,
 the fancy-indexed Gram mirror, the single-pass score), kept verbatim so
 the tests can assert the optimized version returns bit-identical results
 (np.array_equal, not allclose), or, for a score batch spanning several
-blocks, results equal to rounding. The full-spectrum fit_kpca and the
-scipy-ranked roc_auc are references to rounding and exactly, respectively.
+blocks, results equal to rounding. The full-spectrum fit_kpca and
+centered_transform (which centers each kernel row before projecting it)
+are references to rounding, the scipy-ranked roc_auc an exact one.
 The scalar kernel and per-direction losses at the end are the textbook
 definitions the vectorized kernel and score are checked against; none
 of them calls the code it checks.
@@ -24,6 +25,7 @@ from lkplo.kernel_feature import (
     REL_EIG_FLOOR,
     DegenerateKernelError,
     KpcaModel,
+    _cross_kernel,
     center_gram,
     transform,
 )
@@ -112,6 +114,27 @@ def fit_kpca(X, params, q_requested):
         gram_row_means=row_means,
         gram_total_mean=total_mean,
     )
+
+
+def centered_transform(model: KpcaModel, Xnew) -> np.ndarray:
+    """Project new points into the fitted q-dimensional feature space.
+
+    Out-of-sample centering reuses the training row means / total mean:
+    kbar(x, x_i) = k(x, x_i) - mean_i'(k(x, x_i')) - row_means[i] + total_mean.
+    """
+    Xnew = np.asarray(Xnew, dtype=float)
+    if Xnew.ndim != 2 or Xnew.shape[1] != model.train_points.shape[1]:
+        raise ValueError(
+            f"expected (M, {model.train_points.shape[1]}) input, got {Xnew.shape}"
+        )
+    Kx = _cross_kernel(Xnew, model.train_points, model.params)
+    Kx_bar = (
+        Kx
+        - Kx.mean(axis=1)[:, None]
+        - model.gram_row_means[None, :]
+        + model.gram_total_mean
+    )
+    return (Kx_bar @ model.eigenvectors) / np.sqrt(model.eigenvalues)
 
 
 def kmeanspp_init(F, k, rng):

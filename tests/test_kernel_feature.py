@@ -227,6 +227,16 @@ class TestFitKpca:
         np.testing.assert_array_equal(m1.eigenvectors, m2.eigenvectors)
         np.testing.assert_array_equal(m1.eigenvalues, m2.eigenvalues)
 
+    def test_non_finite_row_named(self, capfd):
+        # At N = 300 an inf row used to reach ARPACK, which made LAPACK
+        # print a DLASCL error before scipy rejected the array.
+        X = random_matrix(np.random.default_rng(12), 300, 2)
+        X[123, 1] = np.inf
+        X[200, 0] = np.nan
+        with pytest.raises(ValueError, match="training row 123 is not finite"):
+            fit_kpca(X, KernelParams(0.5), 10)
+        assert capfd.readouterr().err == ""
+
 
 def assert_matches_full_spectrum(seed, n, d, gamma, q):
     """fit_kpca agrees with the oracle's full-spectrum solve on a random
@@ -410,6 +420,15 @@ class TestTransform:
         model = fit_kpca(random_matrix(rng, 6, 2), KernelParams(1.0), 3)
         with pytest.raises(ValueError):
             transform(model, np.zeros((3, 5)))
+
+    def test_non_finite_row_named(self):
+        rng = np.random.default_rng(11)
+        model = fit_kpca(random_matrix(rng, 6, 2), KernelParams(1.0), 3)
+        Xnew = np.zeros((5, 2))
+        Xnew[2, 0] = np.nan
+        Xnew[4, 1] = -np.inf
+        with pytest.raises(ValueError, match="input row 2 is not finite"):
+            transform(model, Xnew)
 
 
 @settings(max_examples=50, deadline=None)

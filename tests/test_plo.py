@@ -19,6 +19,7 @@ from lkplo.plo import (
     FitConfig,
     LkploModel,
     LossSpec,
+    _block_rows,
     _losses,
     fit,
     gen_directions,
@@ -437,6 +438,21 @@ class TestSerialization:
         loaded = load_model(path)
         Xq = rng.standard_normal((35, 2))
         np.testing.assert_array_equal(score(model, Xq), score(loaded, Xq))
+
+    def test_round_trip_stores_no_derived_projection(self, tmp_path):
+        # transform derives A = V / sqrt(lambda) and its offsets from the
+        # stored fields on first use. The file keeps exactly the v2 keys,
+        # and the loaded model derives them again bit for bit.
+        rng = np.random.default_rng(23)
+        model = fit(rng.standard_normal((30, 2)), svm_config("kplo", gamma=0.4, q=6))
+        Xq = rng.uniform(-4.0, 4.0, size=(2 * _block_rows(model) + 35, 2))
+        want = score(model, Xq)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        assert sorted(json.loads(path.read_text())["kpca"]) == [
+            "eigenvalues", "eigenvectors", "gamma", "gram_row_means",
+            "gram_total_mean", "q", "train_points"]
+        np.testing.assert_array_equal(score(load_model(path), Xq), want)
 
     def test_format_tag_checked(self):
         rng = np.random.default_rng(20)

@@ -1,7 +1,8 @@
 """The vectorized fit and score paths return exactly what the scalar
 loops in oracles.py return: equal bits, not merely close values. Blocked
 scoring matches the single-pass oracle exactly within one block and to
-rounding across blocks."""
+rounding across blocks, and the folded transform matches the centered
+one to rounding."""
 
 import tracemalloc
 
@@ -13,7 +14,14 @@ from hypothesis import strategies as st
 import oracles
 from lkplo.clustering import _kmeanspp_init, _lloyd, _repair_empty, assign_nearest, kmeans_fit
 from lkplo.data import gen_three_gaussians
-from lkplo.kernel_feature import KernelParams, _cross_kernel, gram_matrix, transform
+from lkplo.kernel_feature import (
+    ABS_EIG_FLOOR,
+    REL_EIG_FLOOR,
+    KernelParams,
+    _cross_kernel,
+    gram_matrix,
+    transform,
+)
 from lkplo.plo import (
     SCORE_BLOCK_BYTES,
     DegenerateDirectionsError,
@@ -159,6 +167,60 @@ class TestKernelMatchesReference:
                               oracles.cross_kernel(Y, X, params))
 
 
+def assert_transform_matches_centered(model, Xnew):
+    """Each feature j is an N-term product of kernel values in [0, 1]
+    with A_j = v_j / sqrt(lambda_j), so the folded and the centered forms
+    round it differently by up to about N * eps * |A_j|_1; components
+    near the rank floor have a large A_j and round the most."""
+    got = transform(model, Xnew)
+    want = oracles.centered_transform(model, Xnew)
+    n = len(model.train_points)
+    A_norms = np.abs(model.eigenvectors / np.sqrt(model.eigenvalues)).sum(axis=0)
+    for j, a in enumerate(A_norms):
+        np.testing.assert_allclose(got[:, j], want[:, j], rtol=1e-12,
+                                   atol=4 * n * np.finfo(float).eps * a)
+
+
+# A fit whose last kept eigenvalue is 1.2 times the rank floor. Dropping
+# the mean(k(x)) (1^T A) term from transform moves that component by
+# about 1e9 times the tolerance.
+AT_RANK_FLOOR = (172, 12, 2, 0.003, 1.0)
+
+
+class TestTransformMatchesCentered:
+    @staticmethod
+    def fitted(seed, n, d, gamma, q_frac):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0)
+        model = oracles.fit_kpca(X, KernelParams(gamma), max(1, round(q_frac * n)))
+        return model, rng
+
+    @given(
+        st.integers(0, 10_000),
+        st.integers(2, 60),
+        st.integers(1, 5),
+        st.floats(1e-3, 1e3),
+        st.floats(0.0, 1.0),
+    )
+    @example(*AT_RANK_FLOOR)
+    @settings(deadline=None)
+    def test_transform(self, seed, n, d, gamma, q_frac):
+        # The reference fit solves the full spectrum; the transform does
+        # not depend on which solver produced the model. The last rows are
+        # so far from every training point that each kernel value is 0.
+        model, rng = self.fitted(seed, n, d, gamma, q_frac)
+        far = 1e6 * rng.choice([-1.0, 1.0], size=(3, d))
+        Xnew = np.vstack([model.train_points, 3.0 * rng.standard_normal((9, d)), far])
+        assert not _cross_kernel(far, model.train_points, model.params).any()
+        assert_transform_matches_centered(model, Xnew)
+
+    def test_last_component_at_the_rank_floor(self):
+        model, rng = self.fitted(*AT_RANK_FLOOR)
+        floor = max(ABS_EIG_FLOOR, REL_EIG_FLOOR * model.eigenvalues[0])
+        assert floor < model.eigenvalues[-1] < 1.5 * floor
+        assert_transform_matches_centered(model, 3.0 * rng.standard_normal((50, 2)))
+
+
 CONFIGS = [
     DirectionConfig(),
     DirectionConfig(n_random=7, include_basis=False, n_one_point=30, n_two_points=3),
@@ -298,7 +360,8 @@ class TestBlockedScore:
 def test_score_memory_is_per_block():
     # numpy reports its buffers to tracemalloc. A single pass over 20k
     # rows at N = 480 allocates several 77 MB (M, N) temporaries; blocked
-    # scoring needs a few block-sized ones plus the output.
+    # scoring holds one (B, N) kernel block and smaller ones plus the
+    # output (about 2.3 blocks), so a second (B, N) temporary fails here.
     ds = gen_three_gaussians(0)
     q = 20
     model = fit(ds.X, FitConfig(variant="lkplo", loss=LossSpec("svm_like", 2.0),
@@ -312,4 +375,4 @@ def test_score_memory_is_per_block():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 4 * SCORE_BLOCK_BYTES + m * (q + 1) * 8
+    assert peak < 3 * SCORE_BLOCK_BYTES
