@@ -143,12 +143,16 @@ def assign_nearest(centroids, F):
     (M, q) batch F; ties break to the lowest index.
 
     Each squared distance is summed over the contiguous feature axis, so
-    a row gets exactly the index a scan over the centroids gives it.
+    a row gets exactly the index a scan over the centroids gives it. The
+    differences are taken as k copies of each row against the flattened
+    centroids: the same values as broadcasting F against the centroids,
+    in one k * q run per row rather than k runs of q.
     """
     F = np.asarray(F, dtype=float)
-    q = centroids.shape[1]
+    k, q = centroids.shape
     if F.ndim != 2 or F.shape[1] != q:
         raise ValueError(f"expected (M, {q}) batch, got {F.shape}")
-    diff = F[:, None, :] - centroids
-    d2 = np.square(diff, out=diff).sum(axis=-1)
+    diff = np.repeat(F, k, axis=0).reshape(len(F), k * q)
+    diff -= centroids.ravel()
+    d2 = np.square(diff, out=diff).reshape(len(F), k, q).sum(axis=-1)
     return np.argmin(d2, axis=-1)

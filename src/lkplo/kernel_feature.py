@@ -7,11 +7,13 @@ floor. Training features use the sqrt(lambda)-scaled eigenvector
 convention, f_i = sqrt(lambda) v_i. A new point x is centered with the
 training row means r and mean t and projected onto V / sqrt(lambda),
 which gives the same features on the training set. With A = V / sqrt(lambda)
-that projection folds into one product and two fixed offsets,
+that projection is k(x) A - mean(k(x)) (1^T A) - (r - t 1)^T A, and
+mean(k(x)) = k(x) 1 / N folds the middle term into A itself:
 
-    f(x) = k(x) A - mean(k(x)) (1^T A) - (r - t 1)^T A,
+    f(x) = k(x) A_c - (r - t 1)^T A,    A_c = A - 1 (1^T A) / N,
 
-so a batch of new points needs no centered copy of its kernel rows.
+so a batch of new points costs one product and one fixed offset, with
+no centered copy of its kernel rows and no pass for their means.
 """
 
 from dataclasses import dataclass
@@ -64,13 +66,14 @@ class KpcaModel:
 
     @cached_property
     def projection(self):
-        """(A, 1^T A, (r - t 1)^T A) with A = V / sqrt(lambda): what
-        transform multiplies and subtracts. Derived on first use rather
-        than at construction, so that a model read from a file is checked
-        before any arithmetic runs on it, and never written to the file."""
+        """(A_c, (r - t 1)^T A) with A = V / sqrt(lambda) and
+        A_c = A - 1 (1^T A) / N: what transform multiplies and subtracts.
+        Derived on first use rather than at construction, so that a model
+        read from a file is checked before any arithmetic runs on it, and
+        never written to the file."""
         A = self.eigenvectors / np.sqrt(self.eigenvalues)
         offset = (self.gram_row_means - self.gram_total_mean) @ A
-        return A, A.sum(axis=0), offset
+        return A - A.sum(axis=0) / len(A), offset
 
 
 def _check_finite(X, what):
@@ -82,15 +85,23 @@ def _check_finite(X, what):
 
 def _cross_kernel(X, Y, params: KernelParams) -> np.ndarray:
     """RBF kernel evaluations between the rows of X (M, d) and Y (N, d);
-    symmetric wherever X @ Y.T is."""
+    symmetric wherever X @ Y.T is.
+
+    The squared norms x_i^2 + y_j^2 come from the rank-2 product
+    [x^2, 1] @ [1; y^2], whose entries x_i^2 * 1 + 1 * y_j^2 are exact
+    products summed with one rounding: the same doubles as the broadcast
+    sum, with or without FMA, from one BLAS call per chunk.
+    """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    x_sq = (X * X).sum(axis=1)
-    y_sq = (Y * Y).sum(axis=1)
+    left = np.ones((len(X), 2))
+    left[:, 0] = (X * X).sum(axis=1)
+    right = np.ones((2, len(Y)))
+    right[1] = (Y * Y).sum(axis=1)
     K = X @ Y.T
     K *= -2.0
     for s in range(0, len(K), _ROWS):
-        K[s:s + _ROWS] += x_sq[s:s + _ROWS, None] + y_sq
+        K[s:s + _ROWS] += left[s:s + _ROWS] @ right
     np.clip(K, 0.0, None, out=K)
     K *= -params.gamma
     return np.exp(K, out=K)
@@ -126,6 +137,32 @@ def fit_kpca(X, params: KernelParams, q_requested: int) -> KpcaModel:
     return kpca_from_gram(gram_matrix(X, params), X, params, q_requested)
 
 
+def _lanczos(K, top):
+    """The top eigenpairs of the symmetric K from ARPACK's Lanczos solver,
+    or None when it fails (no convergence, or K == 0, which zeroes the
+    start vector).
+
+    Lanczos needs only products K @ v, and dsymv computes them from one
+    triangle of K (K.T is its column-major view, so nothing is copied).
+    The start vector and restart vectors come from a fixed seed, so a fit
+    is deterministic; the start is not the ones vector, which the
+    centered K maps to zero. Nothing here outlives the call, so the
+    caller can free K as soon as it returns.
+    """
+    from scipy.linalg.blas import dsymv
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+
+    n = len(K)
+    K_f = K.T
+    op = LinearOperator((n, n), matvec=lambda v: dsymv(1.0, K_f, v), dtype=float)
+    rng = np.random.default_rng(0)
+    try:
+        return eigsh(op, k=top, which="LA", tol=0,
+                     v0=rng.uniform(-1.0, 1.0, n), rng=rng)
+    except ArpackError:
+        return None
+
+
 def kpca_from_gram(K, X, params: KernelParams, q_requested: int) -> KpcaModel:
     """The kernel feature map of the training rows X from their Gram
     matrix K, keeping min(q_requested, rank) components.
@@ -140,7 +177,10 @@ def kpca_from_gram(K, X, params: KernelParams, q_requested: int) -> KpcaModel:
     K is centered in place. Its top min(q_requested, N) eigenpairs come
     from ARPACK's implicitly restarted Lanczos solver (scipy's eigsh) when
     N > ARPACK_MIN_N and fewer than N/10 are wanted, and otherwise, or when
-    ARPACK fails, from LAPACK's dsyevr, which also overwrites K.
+    ARPACK fails, from LAPACK's dsyevr. dsyevr can return fewer pairs than
+    asked when a cluster of equal eigenvalues straddles the subset's edge
+    (far-apart points, whose centered K is I - 1 1^T / N); the full
+    spectrum is then solved instead.
     """
     n = K.shape[0]
     if n < 2:
@@ -149,28 +189,21 @@ def kpca_from_gram(K, X, params: KernelParams, q_requested: int) -> KpcaModel:
         raise ValueError("q_requested must be >= 1")
     row_means, total_mean = center_gram(K)
 
-    # Imported here so that loading and scoring a model never loads scipy.
-    from scipy.linalg import eigh
-    from scipy.sparse.linalg import ArpackError, eigsh
-
     top = min(q_requested, n)
     solved = None
     if n > ARPACK_MIN_N and 10 * top < n:
-        # Lanczos needs only products K @ v. Its start vector and restart
-        # vectors come from a fixed seed, so a fit is deterministic; the
-        # start is not the ones vector, which the centered K maps to zero.
-        rng = np.random.default_rng(0)
-        try:
-            solved = eigsh(K, k=top, which="LA", tol=0,
-                           v0=rng.uniform(-1.0, 1.0, n), rng=rng)
-        except ArpackError:  # no convergence, or K == 0 (zero start vector)
-            pass
+        solved = _lanczos(K, top)
     if solved is None:
-        # dsyevr computes eigenvectors only for the top subset. K is
-        # exactly symmetric, so K.T is the same matrix in the column-major
-        # order LAPACK works in, and it is solved in place with no copy.
-        solved = eigh(K.T, subset_by_index=[n - top, n - 1],
-                      driver="evr", overwrite_a=True)
+        # Imported here so that loading and scoring a model never loads scipy.
+        from scipy.linalg import eigh
+
+        # dsyevr computes eigenvectors only for the top subset, in a copy
+        # of K. K is exactly symmetric, so K.T is the same matrix in the
+        # column-major order LAPACK works in, and a short subset is solved
+        # again from it, over the full spectrum and in place.
+        solved = eigh(K.T, subset_by_index=[n - top, n - 1], driver="evr")
+        if len(solved[0]) < top:
+            solved = eigh(K.T, driver="evr", overwrite_a=True)
     eigvals, eigvecs = solved
     # Freed before the model's arrays are allocated, so that none of them
     # sits above it in the heap and keeps its memory from the OS.
@@ -214,8 +247,9 @@ def transform(model: KpcaModel, Xnew) -> np.ndarray:
     Out-of-sample centering reuses the training row means r and mean t,
     kbar(x, x_i) = k(x, x_i) - mean_i'(k(x, x_i')) - r_i + t, and the
     centered row is projected onto A = V / sqrt(lambda). Both steps are
-    folded into k(x) A - mean(k(x)) (1^T A) - (r - t 1)^T A, whose A and
-    offsets model.projection derives once. The mean(k(x)) term stays:
+    folded into k(x) A_c - (r - t 1)^T A with A_c = A - 1 (1^T A) / N,
+    since mean(k(x)) (1^T A) = k(x) 1 (1^T A) / N; model.projection
+    derives A_c and the offset once. The 1^T A term stays, inside A_c:
     the columns of V are orthogonal to the ones vector only to rounding,
     and for a component near the rank floor 1/sqrt(lambda) makes 1^T A
     far from zero.
@@ -226,9 +260,7 @@ def transform(model: KpcaModel, Xnew) -> np.ndarray:
             f"expected (M, {model.train_points.shape[1]}) input, got {Xnew.shape}"
         )
     _check_finite(Xnew, "input")
-    A, col_sums, offset = model.projection
-    Kx = _cross_kernel(Xnew, model.train_points, model.params)
-    F = Kx @ A
-    F -= Kx.mean(axis=1)[:, None] * col_sums
+    A_c, offset = model.projection
+    F = _cross_kernel(Xnew, model.train_points, model.params) @ A_c
     F -= offset
     return F

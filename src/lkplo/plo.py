@@ -164,12 +164,23 @@ def gen_directions(F_centered, config: DirectionConfig, seed: int) -> np.ndarray
     return directions
 
 
-def _losses(proj, medians, mads, loss: LossSpec):
-    """Vectorized losses for projections proj of shape (..., D) along
-    directions whose training projections have these medians and MADs."""
+def _max_loss(proj, medians, mads, loss: LossSpec):
+    """Each row's largest loss over projections proj (n, D) along
+    directions whose training projections have these medians and MADs;
+    proj is overwritten.
+
+    robust_z: |p - median| / max(MAD, MAD_FLOOR). svm_like:
+    max(0, |p| - c MAD), clamped once after the row maximum, since
+    max_j max(0, a_j) == max(0, max_j a_j) exactly.
+    """
     if loss.kind == "robust_z":
-        return np.abs(proj - medians) / np.maximum(mads, MAD_FLOOR)
-    return np.maximum(0.0, np.abs(proj) - loss.c * mads)
+        proj -= medians
+        np.abs(proj, out=proj)
+        proj /= np.maximum(mads, MAD_FLOOR)
+        return proj.max(axis=1)
+    np.abs(proj, out=proj)
+    proj -= loss.c * mads
+    return np.maximum(proj.max(axis=1), 0.0)
 
 
 def _derive_seed(seed: int, *key) -> int:
@@ -255,8 +266,8 @@ def _score_block(model: LkploModel, X) -> np.ndarray:
         if not np.any(rows):
             continue
         proj = (F[rows] - model.centroids[j]) @ u.T
-        losses = _losses(proj, model.medians[j], model.mads[j], model.loss)
-        out[rows] = losses.max(axis=1) / model.sizes[j]
+        out[rows] = _max_loss(proj, model.medians[j], model.mads[j],
+                              model.loss) / model.sizes[j]
     return out
 
 

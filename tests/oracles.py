@@ -8,9 +8,10 @@ the tests can assert the optimized version returns bit-identical results
 blocks, results equal to rounding. The full-spectrum fit_kpca and
 centered_transform (which centers each kernel row before projecting it)
 are references to rounding, the scipy-ranked roc_auc an exact one.
-The scalar kernel and per-direction losses at the end are the textbook
-definitions the vectorized kernel and score are checked against; none
-of them calls the code it checks.
+The elementwise losses, whose row maxima the score's one-pass row
+maximum must equal bit for bit, and the scalar kernel and per-direction
+losses at the end are the textbook definitions the vectorized kernel and
+score are checked against; none of them calls the code it checks.
 """
 
 from dataclasses import dataclass
@@ -33,7 +34,6 @@ from lkplo.plo import (
     DIRECTION_NORM_FLOOR,
     MAD_FLOOR,
     DegenerateDirectionsError,
-    _losses,
 )
 
 
@@ -277,6 +277,14 @@ def gen_directions(F_centered, config, seed):
     if not out:
         raise DegenerateDirectionsError("no usable projection directions")
     return np.asarray(out)
+
+
+def _losses(proj, medians, mads, loss):
+    """Elementwise losses for projections proj of shape (..., D) along
+    directions whose training projections have these medians and MADs."""
+    if loss.kind == "robust_z":
+        return np.abs(proj - medians) / np.maximum(mads, MAD_FLOOR)
+    return np.maximum(0.0, np.abs(proj) - loss.c * mads)
 
 
 def assign_nearest(centroids, f):

@@ -36,7 +36,7 @@ from lkplo.plo import (
     DirectionConfig,
     FitConfig,
     LossSpec,
-    _losses,
+    _max_loss,
     fit,
     gen_directions,
     load_model,
@@ -306,10 +306,15 @@ def test_invariant_loss_nonnegativity_and_c_monotonicity():
         medians = np.array([rng.standard_normal()])
         mads = np.array([abs(rng.standard_normal())])
         proj = u[None, :] @ rng.standard_normal(q)
-        assert _losses(proj, medians, mads, LossSpec("robust_z"))[0] >= 0
+
+        def loss(spec):
+            # One direction: the row maximum is that direction's loss.
+            return _max_loss(proj[None, :].copy(), medians, mads, spec)[0]
+
+        assert loss(LossSpec("robust_z")) >= 0
         c1, c2 = sorted(rng.uniform(0.5, 6.0, size=2))
-        l1 = _losses(proj, medians, mads, LossSpec("svm_like", c1))[0]
-        l2 = _losses(proj, medians, mads, LossSpec("svm_like", c2))[0]
+        l1 = loss(LossSpec("svm_like", c1))
+        l2 = loss(LossSpec("svm_like", c2))
         assert l1 >= 0 and l2 >= 0
         assert l2 <= l1 + 1e-12
     check("criterion 5: loss nonnegativity + SVM-like monotone in c (1000 cases)", True)

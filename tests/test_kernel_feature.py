@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse.linalg
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
@@ -305,6 +305,64 @@ class TestTopQMatchesFullSpectrum:
         X = np.full((4, 3), 2.5)
         with pytest.raises(DegenerateKernelError):
             fit_kpca(X, KernelParams(1.0), q_requested=q)
+
+
+def copies(seed, n_copies, n_points, d, gamma):
+    """n_copies translates of one random n_points configuration, so far
+    apart that no kernel value between copies is above exp(-1000): every
+    eigenvalue of one copy's Gram matrix repeats n_copies times (to
+    rounding) in the whole one. One point per copy gives K = I to
+    rounding, whose centered form has eigenvalue 1 with multiplicity
+    N - 1."""
+    rng = np.random.default_rng(seed)
+    shape = rng.standard_normal((n_points, d))
+    spacing = np.sqrt(1000.0 / gamma) + 2 * np.abs(shape).max() + 1.0
+    offsets = spacing * np.arange(n_copies)[:, None, None]
+    return (shape + offsets).reshape(n_copies * n_points, d)
+
+
+class TestRepeatedEigenvaluesAtTheSubsetEdge:
+    """dsyevr returns fewer pairs than its index subset asks for when a
+    cluster of equal eigenvalues straddles the subset's edge; the dense
+    path then solves the full spectrum of its copy of K."""
+
+    @pytest.mark.parametrize("n, q", [(8, 1), (50, 2), (200, 3)])
+    def test_far_apart_points_on_a_line(self, n, q):
+        # dsyevr returns no pairs at all for these subsets.
+        X = np.arange(2.0 * n).reshape(n, 2) * 10
+        model = fit_kpca(X, KernelParams(1.0), q)
+        assert model.q == q
+        np.testing.assert_allclose(model.eigenvalues, 1.0, rtol=1e-12)
+        np.testing.assert_allclose(model.eigenvectors.T @ model.eigenvectors,
+                                   np.eye(q), atol=1e-12)
+
+    @given(
+        st.integers(0, 10_000),
+        st.integers(1, 20),
+        st.integers(1, 10),
+        st.integers(1, 3),
+        st.floats(0.1, 10.0),
+        st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_fit_keeps_min_of_q_and_rank(self, seed, n_copies, n_points, d, gamma, q_frac):
+        n = n_copies * n_points
+        assume(2 <= n <= ARPACK_MIN_N)
+        X = copies(seed, n_copies, n_points, d, gamma)
+        params = KernelParams(gamma)
+        q = 1 + round(q_frac * (n - 1))
+        try:
+            want = oracles.fit_kpca(X, params, n)
+        except DegenerateKernelError:
+            with pytest.raises(DegenerateKernelError):
+                fit_kpca(X, params, q)
+            return
+        got = fit_kpca(X, params, q)
+        assert got.q == min(q, want.q)
+        np.testing.assert_allclose(got.eigenvalues, want.eigenvalues[:got.q],
+                                   rtol=0, atol=1e-12 * want.eigenvalues[0])
+        np.testing.assert_allclose(got.eigenvectors.T @ got.eigenvectors,
+                                   np.eye(got.q), atol=1e-9)
 
 
 @pytest.fixture

@@ -20,7 +20,7 @@ from lkplo.plo import (
     LkploModel,
     LossSpec,
     _block_rows,
-    _losses,
+    _max_loss,
     fit,
     gen_directions,
     load_model,
@@ -145,9 +145,9 @@ class TestDirectionConfig:
 
 
 def one_loss(f, loss, median=2.0, mad=1.4826):
-    """_losses of the (centered) point f projected on the first axis, a
+    """The loss of the (centered) point f projected on the first axis, a
     direction whose training projections have this median and MAD."""
-    return _losses(np.array([f[0]]), np.array([median]), np.array([mad]), loss)[0]
+    return _max_loss(np.array([[f[0]]]), np.array([median]), np.array([mad]), loss)[0]
 
 
 class TestLosses:

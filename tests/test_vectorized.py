@@ -15,6 +15,7 @@ import oracles
 from lkplo.clustering import _kmeanspp_init, _lloyd, _repair_empty, assign_nearest, kmeans_fit
 from lkplo.data import gen_three_gaussians
 from lkplo.kernel_feature import (
+    _ROWS,
     ABS_EIG_FLOOR,
     REL_EIG_FLOOR,
     KernelParams,
@@ -29,7 +30,7 @@ from lkplo.plo import (
     FitConfig,
     LossSpec,
     _block_rows,
-    _losses,
+    _max_loss,
     _score_block,
     fit,
     gen_directions,
@@ -167,6 +168,24 @@ class TestKernelMatchesReference:
                               oracles.cross_kernel(Y, X, params))
 
 
+    @pytest.mark.parametrize("m", [_ROWS - 1, _ROWS, _ROWS + 1, 2 * _ROWS + 1])
+    def test_cross_kernel_across_chunks(self, m):
+        # The squared norms are added chunk by chunk; every chunk, the
+        # short last one included, must give the oracle's doubles.
+        rng = np.random.default_rng(m)
+        X = rng.standard_normal((60, 3)) * 3.0
+        Y = rng.standard_normal((m, 3)) * 3.0
+        params = KernelParams(0.7)
+        assert np.array_equal(_cross_kernel(Y, X, params),
+                              oracles.cross_kernel(Y, X, params))
+
+    def test_gram_symmetric_across_chunks(self):
+        X = np.random.default_rng(4).standard_normal((2 * _ROWS + 1, 3)) * 3.0
+        K = gram_matrix(X, KernelParams(0.7))
+        assert np.array_equal(K, K.T)
+        assert np.array_equal(K, oracles.gram_matrix(X, KernelParams(0.7)))
+
+
 def assert_transform_matches_centered(model, Xnew):
     """Each feature j is an N-term product of kernel values in [0, 1]
     with A_j = v_j / sqrt(lambda_j), so the folded and the centered forms
@@ -263,6 +282,37 @@ class TestDirectionsMatchScalar:
         assert np.array_equal(got, [[0.6, 0.8, 0.0]] * len(got))
 
 
+class TestMaxLossMatchesElementwise:
+    """_max_loss is the row maximum of the elementwise oracle losses, bit
+    for bit; svm_like clamps at 0 after the maximum, not before."""
+
+    @given(
+        st.integers(0, 10_000),
+        st.integers(1, 30),
+        st.integers(1, 12),
+        st.sampled_from([LossSpec("robust_z"), LossSpec("svm_like", 0.5),
+                         LossSpec("svm_like", 2.0), LossSpec("svm_like", 3.7)]),
+    )
+    def test_row_max(self, seed, n, n_dirs, loss):
+        rng = np.random.default_rng(seed)
+        medians = rng.standard_normal(n_dirs)
+        mads = rng.uniform(0.0, 2.0, n_dirs) * (rng.uniform(size=n_dirs) < 0.8)
+        proj = rng.standard_normal((n, n_dirs)) * rng.uniform(0.01, 5.0)
+        # A row on every margin (|p| == c MAD) and one inside every
+        # margin (all svm_like losses negative before the clamp).
+        margin = (loss.c or 1.0) * mads
+        proj[0] = margin * rng.choice([-1.0, 1.0], n_dirs)
+        if n > 1:
+            proj[1] = 0.25 * proj[0]
+        want = oracles._losses(proj, medians, mads, loss).max(axis=1)
+        got = _max_loss(proj.copy(), medians, mads, loss)
+        assert np.array_equal(got, want)
+        assert not np.signbit(got).any()
+        if loss.kind == "svm_like":
+            assert got[0] == 0.0
+            assert n == 1 or got[1] == 0.0
+
+
 class TestScoreAssignmentMatchesScalar:
     @pytest.fixture(scope="class")
     def model(self):
@@ -290,6 +340,22 @@ class TestScoreAssignmentMatchesScalar:
         assert np.array_equal(assign_nearest(C, F), want)
         assert assign_nearest(C, C[2:3])[0] == 2
 
+    def test_one_centroid(self):
+        F = np.random.default_rng(6).standard_normal((50, 4))
+        assert not assign_nearest(F[:1], F).any()
+
+    def test_wide_centroid_table(self):
+        # k * q = 1,200 differences per row, with exact ties: rows that
+        # repeat a centroid, and a centroid that repeats another.
+        rng = np.random.default_rng(7)
+        C = rng.standard_normal((40, 30))
+        C[25] = C[3]
+        F = np.vstack([rng.standard_normal((300, 30)) * 2.0, C[[0, 3, 25, 39]]])
+        want = [oracles.assign_nearest(C, f) for f in F]
+        got = assign_nearest(C, F)
+        assert np.array_equal(got, want)
+        assert got[-3:].tolist() == [3, 3, 39]
+
     def test_score_uses_the_per_row_assignment(self, model):
         # The grid spans several score blocks. BLAS may round a product's
         # rows differently for different row counts, so the reference runs
@@ -306,7 +372,7 @@ class TestScoreAssignmentMatchesScalar:
             for j, u in enumerate(model.directions):
                 rows = assign == j
                 proj = (F[rows] - model.centroids[j]) @ u.T
-                losses = _losses(proj, model.medians[j], model.mads[j], model.loss)
+                losses = oracles._losses(proj, model.medians[j], model.mads[j], model.loss)
                 block[rows] = losses.max(axis=1) / model.sizes[j]
         assert np.array_equal(score(model, X), want)
 
