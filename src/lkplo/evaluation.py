@@ -11,6 +11,8 @@ model is fit on, never of the evaluated rows.
 
 import json
 import math
+import os
+from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
@@ -270,8 +272,41 @@ def _fit_fold(dataset: Dataset, train_idx, method: Method, protocol: Protocol,
     return model, scaler, best, trials
 
 
+def _run_fold(dataset: Dataset, folds, method: Method, protocol: Protocol,
+              fold: int):
+    """Tune and refit outer fold `fold`, then score its held-out rows.
+
+    Returns (held-out AUC, best params, trial log).
+    """
+    test_mask = folds == fold
+    model, scaler, best, trials = _fit_fold(
+        dataset, np.flatnonzero(~test_mask), method, protocol, fold
+    )
+    X_test = apply_standardizer(scaler, dataset.X[test_mask])
+    return roc_auc(plo_score(model, X_test), dataset.y[test_mask]), best, trials
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: the size of its affinity mask where
+    the OS has one (Linux, where fork is safe), else 1. A daemonic
+    process may not have children, so there it is 1 too."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    import multiprocessing
+
+    if multiprocessing.current_process().daemon:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
 def evaluate_method(dataset: Dataset, method: Method,
                     protocol: Protocol = Protocol()) -> ExperimentReport:
+    """Run the tuned k-fold protocol. The outer folds run across the
+    usable CPUs: fold u goes to process u % workers, where process 0 is
+    the caller and the others are forked workers. Every fold's seeds
+    come from (protocol.seed, fold), so the report does not depend on
+    the CPU count. If folds fail, the lowest-numbered one's exception
+    is raised, as a serial loop would raise it."""
     classes = np.unique(dataset.y)
     if len(classes) < 2:
         raise StratificationError(
@@ -279,18 +314,34 @@ def evaluate_method(dataset: Dataset, method: Method,
             "needs both inliers and outliers"
         )
     folds = stratified_kfold(dataset.y, protocol.k_folds, protocol.seed)
+    run = partial(_run_fold, dataset, folds, method, protocol)
+    workers = min(protocol.k_folds, _usable_cpus())
+    # Imported here, as is the pool below, so that `lkplo score` never
+    # loads them.
+    from concurrent.futures import Future
 
-    aucs, fold_params, trial_logs = [], [], []
-    for fold in range(protocol.k_folds):
-        test_mask = folds == fold
-        train_idx = np.flatnonzero(~test_mask)
-        model, scaler, best, trials = _fit_fold(
-            dataset, train_idx, method, protocol, fold
-        )
-        X_test = apply_standardizer(scaler, dataset.X[test_mask])
-        aucs.append(roc_auc(plo_score(model, X_test), dataset.y[test_mask]))
-        fold_params.append(best)
-        trial_logs.append(trials)
+    futures = {}
+    with ExitStack() as stack:
+        if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
+            from multiprocessing import get_context
+
+            pool = stack.enter_context(
+                ProcessPoolExecutor(workers - 1, mp_context=get_context("fork"))
+            )
+            futures = {fold: pool.submit(run, fold)
+                       for fold in range(protocol.k_folds) if fold % workers}
+        for fold in range(0, protocol.k_folds, workers):
+            futures[fold] = own = Future()
+            try:
+                own.set_result(run(fold))
+            except Exception as exc:  # raised below, in fold order
+                own.set_exception(exc)
+                break
+        # result() raises a failed fold's exception, so the lowest-numbered
+        # failing fold is the one raised, whichever process ran it.
+        results = [futures[fold].result() for fold in range(protocol.k_folds)]
+    aucs, fold_params, trial_logs = (list(column) for column in zip(*results))
 
     aucs_arr = np.asarray(aucs)
     return ExperimentReport(

@@ -147,8 +147,9 @@ class TestScoreCommand:
         assert rc != 0
 
     def test_score_process_never_loads_scipy(self, tmp_path, train_csv):
-        # Only fit's eigensolver needs scipy; a cold score process must
-        # not pay for importing it.
+        # Only fit's eigensolver needs scipy, and only the tuned
+        # protocol's fold workers need the process machinery; a cold
+        # score process must not pay for importing either.
         model_path = tmp_path / "m.json"
         assert run("fit", "--data", train_csv, "--out", model_path,
                    "--variant", "lkplo", "--q", "6", "--k", "3") == 0
@@ -156,7 +157,8 @@ class TestScoreCommand:
             "import sys\n"
             "from lkplo.cli import main\n"
             "rc = main(sys.argv[1:])\n"
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.startswith(('scipy', 'multiprocessing', 'concurrent'))))\n"
             "sys.exit(rc)\n"
         )
         proc = subprocess.run(

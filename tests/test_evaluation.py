@@ -1,3 +1,7 @@
+import concurrent.futures
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given
@@ -22,9 +26,10 @@ from lkplo.evaluation import (
     roc_auc,
     run_ablation,
     stratified_kfold,
+    write_reports,
 )
 from lkplo.kernel_feature import DegenerateKernelError
-from lkplo.plo import DegenerateDirectionsError, FitConfig, LossSpec
+from lkplo.plo import DegenerateDirectionsError, FitConfig, LossSpec, _derive_seed
 
 
 class TestStratifiedKfold:
@@ -351,3 +356,61 @@ class TestRunAblation:
         solo = evaluate_method(ds, METHODS["plo"](), protocol)
         assert reports[0].fold_aucs == solo.fold_aucs
         assert reports[0].fold_params == solo.fold_params
+
+
+def set_usable_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+class TestFoldsAcrossCpus:
+    """evaluate_method runs fold u in process u % workers (0 is the
+    caller), with workers = min(k_folds, usable CPUs)."""
+
+    def test_reports_byte_identical_for_one_and_two_cpus(self, tmp_path, monkeypatch):
+        datasets = [label_coded_dataset(9), gen_three_gaussians(9)]
+        written = []
+        for n in (1, 2):
+            set_usable_cpus(monkeypatch, n)
+            prefix = tmp_path / f"cpus{n}"
+            write_reports(run_ablation(datasets, Protocol(n_trials=2)), str(prefix))
+            written.append([prefix.with_suffix(ext).read_bytes()
+                            for ext in (".json", ".csv")])
+        assert written[0] == written[1]
+
+    def test_lowest_failing_fold_is_raised(self, monkeypatch):
+        # With two CPUs fold 1 runs in the worker and fold 2 in the caller.
+        set_usable_cpus(monkeypatch, 2)
+        protocol = Protocol(n_trials=2)
+        failing = {_derive_seed(protocol.seed, fold, 1) for fold in (1, 2)}
+
+        def fit(X, config):
+            if config.seed in failing:
+                raise DegenerateDirectionsError("no usable projection directions")
+
+        monkeypatch.setattr(evaluation, "plo_fit", fit)
+        monkeypatch.setattr(evaluation, "plo_score", lambda model, X: X[:, 0])
+        with pytest.raises(ValueError, match=r"^fold 1: all 2 search trials failed"):
+            evaluate_method(label_coded_dataset(10), METHODS["plo"](), protocol)
+
+    def test_one_cpu_starts_no_process(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was created")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        stub_detector(monkeypatch, lambda X: X[:, 0])
+        ds, method = label_coded_dataset(11), METHODS["plo"]()
+        protocol = Protocol(n_trials=1)
+        set_usable_cpus(monkeypatch, 2)
+        with pytest.raises(AssertionError, match="a process pool was created"):
+            evaluate_method(ds, method, protocol)
+        set_usable_cpus(monkeypatch, 1)
+        assert evaluate_method(ds, method, protocol).mean == pytest.approx(1.0)
+
+    def test_daemonic_process_runs_serially(self, monkeypatch):
+        set_usable_cpus(monkeypatch, 2)
+        ds, method = label_coded_dataset(12), METHODS["lkplo-svm"]()
+        protocol = Protocol(n_trials=2)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            job = pool.apply_async(evaluate_method, (ds, method, protocol))
+            in_daemon = job.get(timeout=120)
+        assert in_daemon == evaluate_method(ds, method, protocol)
