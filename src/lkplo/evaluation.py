@@ -12,7 +12,6 @@ model is fit on, never of the evaluated rows.
 import json
 import math
 import os
-from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
@@ -112,6 +111,14 @@ class Trial:
     error: Optional[str]
 
 
+def _trial_params(space: dict, seed: int, t: int) -> dict:
+    """Trial t's draw from space (name -> ParamSpec). Each trial has its
+    own seed, SeedSequence(seed, spawn_key=(t,)), so its params depend on
+    no other trial."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t,)))
+    return {name: spec.sample(rng) for name, spec in space.items()}
+
+
 def random_search(space: dict, n_trials: int, seed: int,
                   objective: Callable[[dict], float]):
     """Uniform random sampling of space (name -> ParamSpec) with
@@ -125,8 +132,7 @@ def random_search(space: dict, n_trials: int, seed: int,
     trials = []
     best = None
     for t in range(n_trials):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t,)))
-        params = {name: spec.sample(rng) for name, spec in space.items()}
+        params = _trial_params(space, seed, t)
         try:
             value = float(objective(params))
             error = None
@@ -237,53 +243,46 @@ class ExperimentReport:
         }
 
 
-def _fit_fold(dataset: Dataset, train_idx, method: Method, protocol: Protocol,
-              fold: int):
-    """Tune and refit one outer fold; touches only outer-train rows.
+class _OuterFold:
+    """Outer fold `fold`: its tuning split, the search objective on it and
+    the refit. Only the outer-train rows (train_idx) reach either."""
 
-    Returns (the model fitted on the full outer-train split, the
-    standardizer fitted on it, best params, trial log).
-    """
-    X_train, y_train = dataset.X[train_idx], dataset.y[train_idx]
-    fit_seed = _derive_seed(protocol.seed, fold, 1)
+    def __init__(self, dataset: Dataset, train_idx, method: Method,
+                 protocol: Protocol, fold: int):
+        self.fold = fold
+        self.method = method
+        self.X_train, y_train = dataset.X[train_idx], dataset.y[train_idx]
+        self.fit_seed = _derive_seed(protocol.seed, fold, 1)
+        self.search_seed = _derive_seed(protocol.seed, fold, 2)
 
-    inner = stratified_kfold(y_train, INNER_FOLDS, _derive_seed(protocol.seed, fold, 0))
-    val_mask = inner == 0
-    scaler = fit_standardizer(X_train[~val_mask])
-    X_fit = apply_standardizer(scaler, X_train[~val_mask])
-    X_val = apply_standardizer(scaler, X_train[val_mask])
-    y_val = y_train[val_mask]
+        inner = stratified_kfold(y_train, INNER_FOLDS,
+                                 _derive_seed(protocol.seed, fold, 0))
+        val_mask = inner == 0
+        scaler = fit_standardizer(self.X_train[~val_mask])
+        self.X_fit = apply_standardizer(scaler, self.X_train[~val_mask])
+        self.X_val = apply_standardizer(scaler, self.X_train[val_mask])
+        self.y_val = y_train[val_mask]
 
-    def objective(params):
-        model = plo_fit(X_fit, method.config(params, fit_seed, len(X_fit)))
-        return roc_auc(plo_score(model, X_val), y_val)
+    def objective(self, params: dict) -> float:
+        """Validation AUC of params fitted on the tuning set."""
+        model = plo_fit(self.X_fit,
+                        self.method.config(params, self.fit_seed, len(self.X_fit)))
+        return roc_auc(plo_score(model, self.X_val), self.y_val)
 
-    try:
-        best, trials = random_search(
-            method.space, protocol.n_trials,
-            _derive_seed(protocol.seed, fold, 2), objective,
-        )
-    except ValueError as exc:
-        raise ValueError(f"fold {fold}: {exc}") from exc
+    def search(self, n_trials: int, objective: Callable[[dict], float]):
+        """random_search over the method's space with this fold's seed."""
+        try:
+            return random_search(self.method.space, n_trials, self.search_seed,
+                                 objective)
+        except ValueError as exc:
+            raise ValueError(f"fold {self.fold}: {exc}") from exc
 
-    scaler = fit_standardizer(X_train)
-    model = plo_fit(apply_standardizer(scaler, X_train),
-                    method.config(best, fit_seed, len(X_train)))
-    return model, scaler, best, trials
-
-
-def _run_fold(dataset: Dataset, folds, method: Method, protocol: Protocol,
-              fold: int):
-    """Tune and refit outer fold `fold`, then score its held-out rows.
-
-    Returns (held-out AUC, best params, trial log).
-    """
-    test_mask = folds == fold
-    model, scaler, best, trials = _fit_fold(
-        dataset, np.flatnonzero(~test_mask), method, protocol, fold
-    )
-    X_test = apply_standardizer(scaler, dataset.X[test_mask])
-    return roc_auc(plo_score(model, X_test), dataset.y[test_mask]), best, trials
+    def refit(self, best: dict):
+        """(model, standardizer) of best fitted on the full outer-train split."""
+        scaler = fit_standardizer(self.X_train)
+        model = plo_fit(apply_standardizer(scaler, self.X_train),
+                        self.method.config(best, self.fit_seed, len(self.X_train)))
+        return model, scaler
 
 
 def _usable_cpus() -> int:
@@ -299,14 +298,114 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
+def _drawn(next_unit, n_units: int):
+    """Unit indices drawn from the shared counter next_unit until none
+    are left."""
+    while True:
+        with next_unit.get_lock():
+            index = next_unit.value
+            next_unit.value = index + 1
+        if index >= n_units:
+            return
+        yield index
+
+
+def _pull_units(unit: Callable, indices) -> dict:
+    """Run unit(i) for each i in indices; returns {i: (result, exception)}."""
+    outcomes = {}
+    for index in indices:
+        try:
+            outcomes[index] = (unit(index), None)
+        except Exception as exc:  # raised by _Units.map, in unit order
+            outcomes[index] = (None, exc)
+    return outcomes
+
+
+# (unit functions, next_unit) in a pool worker, set by the pool's
+# initializer. The worker is forked, so the unit functions, which may be
+# closures, are inherited and never pickled; a shared counter can only be
+# passed that way too.
+_held_units = None
+
+
+def _hold_units(*held):
+    global _held_units
+    _held_units = held
+
+
+def _pull_held_units(which: int, n_units: int, args: tuple) -> dict:
+    units, next_unit = _held_units
+    return _pull_units(partial(units[which], *args), _drawn(next_unit, n_units))
+
+
+class _Units:
+    """Runs maps of independent units across the usable CPUs.
+
+    The caller and min(max_units, usable CPUs) - 1 workers, forked once
+    on entry, pull the next index of a map from one shared counter until
+    none are left, so a slow unit holds up one process while the others
+    go on. Only the functions given on construction can be mapped: the
+    workers inherit them.
+    """
+
+    def __init__(self, max_units: int, *units: Callable):
+        self.units = units
+        self.workers = min(max_units, _usable_cpus())
+
+    def __enter__(self):
+        if self.workers > 1:
+            # Imported here so that `lkplo score` never loads them.
+            from concurrent.futures import ProcessPoolExecutor
+            from multiprocessing import get_context
+
+            context = get_context("fork")
+            self.next_unit = context.Value("i", 0)
+            self.pool = ProcessPoolExecutor(
+                self.workers - 1, mp_context=context, initializer=_hold_units,
+                initargs=(self.units, self.next_unit))
+        return self
+
+    def __exit__(self, *exc_info):
+        if self.workers > 1:
+            self.pool.shutdown()
+
+    def map(self, unit: Callable, n_units: int, *args) -> list:
+        """[unit(*args, i) for i in range(n_units)]; args go to the
+        workers pickled. Results are kept by index, so they do not depend
+        on which process ran what. If units raise, the lowest-index one's
+        exception is raised, as a serial loop would raise it."""
+        if self.workers > 1:
+            which = self.units.index(unit)
+            self.next_unit.value = 0  # no worker pulls between maps
+            pulls = [self.pool.submit(_pull_held_units, which, n_units, args)
+                     for _ in range(self.workers - 1)]
+            outcomes = _pull_units(partial(unit, *args), _drawn(self.next_unit, n_units))
+            for pull in pulls:
+                outcomes.update(pull.result())
+        else:
+            outcomes = _pull_units(partial(unit, *args), range(n_units))
+        results = []
+        for index in range(n_units):
+            result, exc = outcomes[index]
+            if exc is not None:
+                raise exc
+            results.append(result)
+        return results
+
+
 def evaluate_method(dataset: Dataset, method: Method,
                     protocol: Protocol = Protocol()) -> ExperimentReport:
-    """Run the tuned k-fold protocol. The outer folds run across the
-    usable CPUs: fold u goes to process u % workers, where process 0 is
-    the caller and the others are forked workers. Every fold's seeds
-    come from (protocol.seed, fold), so the report does not depend on
-    the CPU count. If folds fail, the lowest-numbered one's exception
-    is raised, as a serial loop would raise it."""
+    """Run the tuned k-fold protocol in two phases of independent units,
+    each spread over the usable CPUs by _Units.
+
+    Phase A runs the k_folds x n_trials search trials. Each fold's
+    search then replays its trials' outcomes, in trial order, through
+    random_search, which picks the best (ties to the earliest trial) or
+    raises when all failed. Phase B refits and scores each fold's best
+    params. Every seed comes from (protocol.seed, fold, trial), so the
+    report does not depend on the CPU count, and the exception raised is
+    the one a serial fold-by-fold loop would raise.
+    """
     classes = np.unique(dataset.y)
     if len(classes) < 2:
         raise StratificationError(
@@ -314,34 +413,47 @@ def evaluate_method(dataset: Dataset, method: Method,
             "needs both inliers and outliers"
         )
     folds = stratified_kfold(dataset.y, protocol.k_folds, protocol.seed)
-    run = partial(_run_fold, dataset, folds, method, protocol)
-    workers = min(protocol.k_folds, _usable_cpus())
-    # Imported here, as is the pool below, so that `lkplo score` never
-    # loads them.
-    from concurrent.futures import Future
+    outer = [_OuterFold(dataset, np.flatnonzero(folds != fold), method, protocol, fold)
+             for fold in range(protocol.k_folds)]
+    n_trials, space = protocol.n_trials, method.space
 
-    futures = {}
-    with ExitStack() as stack:
-        if workers > 1:
-            from concurrent.futures import ProcessPoolExecutor
-            from multiprocessing import get_context
+    def trial(unit):
+        fold, t = divmod(unit, n_trials)
+        try:
+            return outer[fold].objective(_trial_params(space, outer[fold].search_seed, t))
+        except Exception as exc:  # random_search decides, replaying it below
+            return exc
 
-            pool = stack.enter_context(
-                ProcessPoolExecutor(workers - 1, mp_context=get_context("fork"))
-            )
-            futures = {fold: pool.submit(run, fold)
-                       for fold in range(protocol.k_folds) if fold % workers}
-        for fold in range(0, protocol.k_folds, workers):
-            futures[fold] = own = Future()
+    def replayed(outcome):
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    def refit(bests, fold):
+        model, scaler = outer[fold].refit(bests[fold])
+        test = folds == fold
+        X_test = apply_standardizer(scaler, dataset.X[test])
+        return roc_auc(plo_score(model, X_test), dataset.y[test])
+
+    with _Units(protocol.k_folds * n_trials, trial, refit) as units:
+        outcomes = units.map(trial, protocol.k_folds * n_trials)
+        # random_search draws the same params for trial t as the unit did,
+        # so each fold's objective just hands back the next outcome. The
+        # first failing fold stops the searches; the folds below it still
+        # refit, so that a refit error there is raised ahead of it, as
+        # serially.
+        searches, failure = [], None
+        for fold, outer_fold in enumerate(outer):
+            pending = iter(outcomes[fold * n_trials:(fold + 1) * n_trials])
             try:
-                own.set_result(run(fold))
-            except Exception as exc:  # raised below, in fold order
-                own.set_exception(exc)
+                searches.append(outer_fold.search(
+                    n_trials, lambda params: replayed(next(pending))))
+            except Exception as exc:  # raised after the refits below it
+                failure = exc
                 break
-        # result() raises a failed fold's exception, so the lowest-numbered
-        # failing fold is the one raised, whichever process ran it.
-        results = [futures[fold].result() for fold in range(protocol.k_folds)]
-    aucs, fold_params, trial_logs = (list(column) for column in zip(*results))
+        aucs = units.map(refit, len(searches), [best for best, _ in searches])
+    if failure is not None:
+        raise failure
 
     aucs_arr = np.asarray(aucs)
     return ExperimentReport(
@@ -350,8 +462,8 @@ def evaluate_method(dataset: Dataset, method: Method,
         fold_aucs=[float(a) for a in aucs],
         mean=float(aucs_arr.mean()),
         std=float(aucs_arr.std()),
-        fold_params=fold_params,
-        trial_logs=trial_logs,
+        fold_params=[best for best, _ in searches],
+        trial_logs=[trials for _, trials in searches],
     )
 
 

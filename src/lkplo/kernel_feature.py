@@ -197,12 +197,19 @@ def kpca_from_gram(K, X, params: KernelParams, q_requested: int) -> KpcaModel:
         # Imported here so that loading and scoring a model never loads scipy.
         from scipy.linalg import eigh
 
-        # dsyevr computes eigenvectors only for the top subset, in a copy
-        # of K. K is exactly symmetric, so K.T is the same matrix in the
-        # column-major order LAPACK works in, and a short subset is solved
-        # again from it, over the full spectrum and in place.
-        solved = eigh(K.T, subset_by_index=[n - top, n - 1], driver="evr")
+        # dsyevr computes eigenvectors only for the top subset, in K
+        # itself: K is exactly symmetric, so K.T is the same matrix in the
+        # column-major order LAPACK works in. It destroys only the
+        # triangle it reads, diagonal included (K's upper one), so a
+        # short subset is solved again over the full spectrum from the
+        # intact lower triangle and the saved diagonal.
+        diagonal = K.diagonal().copy()
+        solved = eigh(K.T, subset_by_index=[n - top, n - 1], driver="evr",
+                      overwrite_a=True)
         if len(solved[0]) < top:
+            for i in range(n - 1):
+                K[i, i + 1:] = K[i + 1:, i]
+            np.fill_diagonal(K, diagonal)
             solved = eigh(K.T, driver="evr", overwrite_a=True)
     eigvals, eigvecs = solved
     # Freed before the model's arrays are allocated, so that none of them

@@ -19,7 +19,6 @@ from lkplo.data import (
 from lkplo.evaluation import (
     METHODS,
     Protocol,
-    _fit_fold,
     evaluate_method,
     roc_auc,
     stratified_kfold,
@@ -368,10 +367,10 @@ def test_invariant_no_leakage(monkeypatch):
         ds = Dataset("t", rng.standard_normal((n, 2)), y)
         folds = stratified_kfold(ds.y, protocol.k_folds, protocol.seed)
         train_idx = np.flatnonzero(folds != 0)
-        fit_a, scaler_a, _, _ = _fit_fold(ds, train_idx, method, protocol, 0)
+        fit_a, scaler_a, _, _ = oracles.fit_fold(ds, train_idx, method, protocol, 0)
         perturbed = Dataset(ds.name, ds.X.copy(), ds.y)
         perturbed.X[folds == 0] += 1e6
-        fit_b, scaler_b, _, _ = _fit_fold(perturbed, train_idx, method, protocol, 0)
+        fit_b, scaler_b, _, _ = oracles.fit_fold(perturbed, train_idx, method, protocol, 0)
         assert np.array_equal(scaler_a.means, scaler_b.means)
         assert np.array_equal(scaler_a.stds, scaler_b.stds)
         assert np.array_equal(fit_a, fit_b)

@@ -1,6 +1,7 @@
 import concurrent.futures
 import multiprocessing
 import os
+import time
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from lkplo.evaluation import (
     Protocol,
     StratificationError,
     _average_ranks,
-    _fit_fold,
     evaluate_method,
     random_search,
     roc_auc,
@@ -305,12 +305,12 @@ class TestEvaluateMethod:
         train_idx = np.flatnonzero(folds != 0)
         method = METHODS["lkplo-svm"]()
 
-        _, scaler_a, best_a, _ = _fit_fold(ds, train_idx, method, protocol, 0)
+        _, scaler_a, best_a, _ = oracles.fit_fold(ds, train_idx, method, protocol, 0)
         perturbed = Dataset(
             ds.name, ds.X.copy(), ds.y
         )
         perturbed.X[folds == 0] += 100.0
-        _, scaler_b, best_b, _ = _fit_fold(perturbed, train_idx, method, protocol, 0)
+        _, scaler_b, best_b, _ = oracles.fit_fold(perturbed, train_idx, method, protocol, 0)
 
         np.testing.assert_array_equal(scaler_a.means, scaler_b.means)
         np.testing.assert_array_equal(scaler_a.stds, scaler_b.stds)
@@ -362,23 +362,48 @@ def set_usable_cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
-class TestFoldsAcrossCpus:
-    """evaluate_method runs fold u in process u % workers (0 is the
-    caller), with workers = min(k_folds, usable CPUs)."""
+def map_units(unit, n_units):
+    with evaluation._Units(n_units, unit) as units:
+        return units.map(unit, n_units)
 
-    def test_reports_byte_identical_for_one_and_two_cpus(self, tmp_path, monkeypatch):
+
+def split_units(monkeypatch, body):
+    """A unit for map_units on two CPUs that runs body(i, in_worker).
+    Units 0 and 1 wait for each other, so they run in different
+    processes; the worker's one then sleeps while the caller runs every
+    other unit."""
+    set_usable_cpus(monkeypatch, 2)
+    caller = os.getpid()
+    both_running = multiprocessing.get_context("fork").Barrier(2, timeout=30)
+
+    def unit(i):
+        if i < 2:
+            both_running.wait()
+        in_worker = os.getpid() != caller
+        if in_worker:
+            time.sleep(0.3)
+        return body(i, in_worker)
+
+    return unit
+
+
+class TestFoldsAcrossCpus:
+    """evaluate_method spreads its search trials, then its refits, over
+    min(units, usable CPUs) processes (0 is the caller) that pull unit
+    indices from one shared counter."""
+
+    def test_reports_byte_identical_across_cpu_counts(self, tmp_path, monkeypatch):
         datasets = [label_coded_dataset(9), gen_three_gaussians(9)]
         written = []
-        for n in (1, 2):
+        for n in (1, 2, 3):
             set_usable_cpus(monkeypatch, n)
             prefix = tmp_path / f"cpus{n}"
             write_reports(run_ablation(datasets, Protocol(n_trials=2)), str(prefix))
             written.append([prefix.with_suffix(ext).read_bytes()
                             for ext in (".json", ".csv")])
-        assert written[0] == written[1]
+        assert written[0] == written[1] == written[2]
 
     def test_lowest_failing_fold_is_raised(self, monkeypatch):
-        # With two CPUs fold 1 runs in the worker and fold 2 in the caller.
         set_usable_cpus(monkeypatch, 2)
         protocol = Protocol(n_trials=2)
         failing = {_derive_seed(protocol.seed, fold, 1) for fold in (1, 2)}
@@ -391,6 +416,78 @@ class TestFoldsAcrossCpus:
         monkeypatch.setattr(evaluation, "plo_score", lambda model, X: X[:, 0])
         with pytest.raises(ValueError, match=r"^fold 1: all 2 search trials failed"):
             evaluate_method(label_coded_dataset(10), METHODS["plo"](), protocol)
+
+    def test_unit_map_keeps_unit_order_across_processes(self, monkeypatch):
+        unit = split_units(monkeypatch, lambda i, in_worker: (i, in_worker))
+        results = map_units(unit, 12)
+        assert [i for i, _ in results] == list(range(12))
+        assert any(in_worker for _, in_worker in results)
+
+    def test_unit_map_raises_lowest_index_exception(self, monkeypatch):
+        # The worker's unit (0 or 1) and the caller's unit 11 raise.
+        def body(i, in_worker):
+            if in_worker or i == 11:
+                raise KeyError(f"unit {i}")
+
+        with pytest.raises(KeyError, match=r"^'unit [01]'$"):
+            map_units(split_units(monkeypatch, body), 12)
+
+    def test_each_unit_runs_once_per_map_with_more_workers_than_cores(self, monkeypatch):
+        set_usable_cpus(monkeypatch, 2 * len(os.sched_getaffinity(0)))
+        n = 20000
+        runs = multiprocessing.get_context("fork").Array("i", n)
+
+        def unit(i):
+            with runs.get_lock():
+                runs[i] += 1
+            return i
+
+        with evaluation._Units(n, unit) as units:
+            for _ in range(3):
+                assert units.map(unit, n) == list(range(n))
+        assert list(runs) == [3] * n
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_refit_error_raised_ahead_of_later_failed_search(self, monkeypatch, cpus):
+        # Fold 1's refit fails and every trial of fold 2 fails: a serial
+        # loop reaches fold 1's refit first.
+        set_usable_cpus(monkeypatch, cpus)
+        ds, protocol = label_coded_dataset(13), Protocol(n_trials=3)
+        folds = stratified_kfold(ds.y, protocol.k_folds, protocol.seed)
+
+        def fit(X, config):
+            refit = len(X) == np.sum(folds != 1)
+            if config.seed == _derive_seed(protocol.seed, 1, 1) and refit:
+                raise DegenerateDirectionsError("refit of fold 1")
+            if config.seed == _derive_seed(protocol.seed, 2, 1):
+                raise DegenerateDirectionsError("trial of fold 2")
+
+        monkeypatch.setattr(evaluation, "plo_fit", fit)
+        monkeypatch.setattr(evaluation, "plo_score", lambda model, X: X[:, 0])
+        with pytest.raises(DegenerateDirectionsError, match="^refit of fold 1$"):
+            evaluate_method(ds, METHODS["plo"](), protocol)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_programming_error_propagates_past_recorded_errors(self, monkeypatch, cpus):
+        # In fold 3, trial 0 raises a LinAlgError (recorded in the trial
+        # log) and trial 2 a TypeError (raised); the other folds are fine.
+        set_usable_cpus(monkeypatch, cpus)
+        ds, method, protocol = label_coded_dataset(14), METHODS["plo"](), Protocol(n_trials=4)
+        fold_3 = _derive_seed(protocol.seed, 3, 1)
+        search_seed = _derive_seed(protocol.seed, 3, 2)
+        c_of_trial = [evaluation._trial_params(method.space, search_seed, t)["c"]
+                      for t in range(protocol.n_trials)]
+
+        def fit(X, config):
+            if config.seed == fold_3 and config.loss.c == c_of_trial[0]:
+                raise np.linalg.LinAlgError("trial 0 of fold 3")
+            if config.seed == fold_3 and config.loss.c == c_of_trial[2]:
+                raise TypeError("trial 2 of fold 3")
+
+        monkeypatch.setattr(evaluation, "plo_fit", fit)
+        monkeypatch.setattr(evaluation, "plo_score", lambda model, X: X[:, 0])
+        with pytest.raises(TypeError, match="^trial 2 of fold 3$"):
+            evaluate_method(ds, method, protocol)
 
     def test_one_cpu_starts_no_process(self, monkeypatch):
         def no_pool(*args, **kwargs):

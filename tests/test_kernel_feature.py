@@ -3,9 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 import oracles
@@ -363,6 +365,43 @@ class TestRepeatedEigenvaluesAtTheSubsetEdge:
                                    rtol=0, atol=1e-12 * want.eigenvalues[0])
         np.testing.assert_allclose(got.eigenvectors.T @ got.eigenvectors,
                                    np.eye(got.q), atol=1e-9)
+
+
+class TestDenseSolveInPlace:
+    """The dense path solves in K itself: dsyevr destroys only the
+    triangle it reads, so a short subset is solved again from the other
+    triangle and the saved diagonal, with no second N x N array."""
+
+    @pytest.mark.parametrize("X, gamma, q", [
+        (random_matrix(np.random.default_rng(3), 300, 3), 0.5, 40),
+        (random_matrix(np.random.default_rng(4), 50, 2), 1.0, 50),
+        (np.arange(400.0).reshape(200, 2) * 10, 1.0, 3),  # short subset
+    ], ids=["subset", "all-pairs", "short-subset"])
+    def test_eigenpairs_equal_the_copying_path(self, monkeypatch, X, gamma, q):
+        in_place = fit_kpca(X, KernelParams(gamma), q)
+        calls = []
+
+        def eigh_on_a_copy(a, **kwargs):
+            calls.append(kwargs)
+            return eigh(a, **{**kwargs, "overwrite_a": False})
+
+        monkeypatch.setattr(scipy.linalg, "eigh", eigh_on_a_copy)
+        assert_same_model(fit_kpca(X, KernelParams(gamma), q), in_place)
+        # The short subset is solved again over the full spectrum.
+        assert len(calls) == (2 if q == 3 else 1)
+
+    def test_fit_holds_one_gram_sized_array(self):
+        n = 1000
+        X = random_matrix(np.random.default_rng(5), n, 5)
+        fit_kpca(X[:10], KernelParams(0.2), 2)  # imports scipy.linalg untraced
+        tracemalloc.start()
+        try:
+            model = fit_kpca(X, KernelParams(0.2), n // 10)  # the dense path
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert model.q == n // 10
+        assert peak < 1.5 * 8 * n * n
 
 
 @pytest.fixture
