@@ -4,60 +4,101 @@ Lloyd iterations with k-means++ seeding, 10 restarts keeping the
 lowest-inertia run, and empty-cluster repair so every surviving
 cluster has at least one member (the 1/N_k score weighting requires
 N_k >= 1).
+
+Restarts run in groups, on arrays with a leading restart axis, so one
+numpy call serves every restart of a group; the group size is
+GROUP_BYTES over the widest per-restart temporary (N * max(q, k)
+doubles). Each restart computes what it would alone: the same RNG
+draws, the same products, and the same sums in the same order, except
+for the seeding distances noted in _seed_group.
 """
 
 import numpy as np
 
+from .kernel_feature import _check_finite
+
 N_INIT = 10
 MAX_ITER = 300
 SHIFT_TOL = 1e-6
+GROUP_BYTES = 1 << 20
 
 
 class InvalidKError(ValueError):
     """Raised when k exceeds the number of points."""
 
 
-def _assign(F, f_sq, centroids):
-    """Labels and squared distances to the nearest centroid; f_sq is
-    (F * F).sum(axis=1), fixed for a whole Lloyd run.
+def _assign(F, norms, centers):
+    """Labels (R, N) and squared distances (R, N) to the nearest of each
+    restart's centres (R, k, q); norms is [f, 1] with f = (F * F).sum(axis=1),
+    fixed for a whole Lloyd run.
 
-    np.argmin returns the first minimum, which implements the
+    f_i + c_j comes from the rank-2 product [f, 1] @ [1; c^2]: two exact
+    products summed with one rounding, the same double as the broadcast
+    sum. np.argmin returns the first minimum, which implements the
     lowest-index tie-break.
     """
-    d2 = (
-        f_sq[:, None]
-        + (centroids * centroids).sum(axis=1)[None, :]
-        - 2.0 * (F @ centroids.T)
-    )
-    np.clip(d2, 0.0, None, out=d2)
-    labels = np.argmin(d2, axis=1)
-    return labels, d2[np.arange(len(F)), labels]
+    right = np.ones((len(centers), 2, centers.shape[1]))
+    right[:, 1] = (centers * centers).sum(axis=2)
+    d2 = F @ centers.transpose(0, 2, 1)
+    d2 *= -2.0
+    d2 += norms @ right
+    np.maximum(d2, 0.0, out=d2)
+    labels = np.argmin(d2, axis=2)
+    nearest = np.arange(0, d2.size, d2.shape[2]) + labels.ravel()
+    return labels, d2.ravel()[nearest].reshape(labels.shape)
+
+
+def _sq_dists(FT, points):
+    """(R, N) squared distances from each of the (R, q) points to the
+    rows of F, given FT = F.T as a C-contiguous (q, N) array."""
+    diff = FT - points[:, :, None]
+    return np.square(diff, out=diff).sum(axis=1)
+
+
+def _seed_group(F, FT, k, rngs):
+    """k-means++ centres (R, k, q), restart r drawing from rngs[r] in the
+    one-restart order: the first index, then per centre one uniform.
+
+    The pick is what rng.choice(n, p=d2 / total) does, without
+    re-validating and Kahan-summing p for every centre: (cdf <= u)
+    counted per row equals searchsorted(cdf, u, side="right") on the
+    non-decreasing cdf. The one departure from a row-at-a-time sum: a
+    distance adds its q squared differences in feature order, where
+    numpy's row sum is pairwise for q >= 8, so it can differ by about
+    5e-16 relative, and a pick only if u lands that close to a cdf step.
+    """
+    n = F.shape[0]
+    idx = np.empty((len(rngs), k), dtype=np.intp)
+    idx[:, 0] = [rng.integers(n) for rng in rngs]
+    active = np.arange(len(rngs))
+    d2 = _sq_dists(FT, F[idx[:, 0]])
+    for j in range(1, k):
+        total = d2.sum(axis=1)
+        zero = total == 0
+        if zero.any():
+            # All remaining distances zero (duplicate points), and they
+            # only shrink: pick any index not chosen yet for each centre
+            # left, so k == n stays feasible.
+            for r in active[zero]:
+                chosen = np.zeros(n, dtype=bool)
+                chosen[idx[r, :j]] = True
+                for jj in range(j, k):
+                    idx[r, jj] = rngs[r].choice(np.flatnonzero(~chosen))
+                    chosen[idx[r, jj]] = True
+            active, d2, total = active[~zero], d2[~zero], total[~zero]
+            if not len(active):
+                break
+        cdf = np.cumsum(d2 / total[:, None], axis=1)
+        cdf /= cdf[:, -1:]
+        u = np.array([rngs[r].random() for r in active])
+        pick = (cdf <= u[:, None]).sum(axis=1)
+        idx[active, j] = pick
+        np.minimum(d2, _sq_dists(FT, F[pick]), out=d2)
+    return F[idx]
 
 
 def _kmeanspp_init(F, k, rng):
-    n = F.shape[0]
-    centers = np.empty((k, F.shape[1]))
-    chosen = np.zeros(n, dtype=bool)
-    first = int(rng.integers(n))
-    centers[0] = F[first]
-    chosen[first] = True
-    d2 = ((F - centers[0]) ** 2).sum(axis=1)
-    for j in range(1, k):
-        total = d2.sum()
-        if total > 0:
-            # What rng.choice(n, p=d2 / total) does, without re-validating
-            # and Kahan-summing p for every centre: same index, same RNG state.
-            cdf = np.cumsum(d2 / total)
-            cdf /= cdf[-1]
-            idx = int(cdf.searchsorted(rng.random(), side="right"))
-        else:
-            # All remaining distances zero (duplicate points): pick any
-            # index not chosen yet so k == n stays feasible.
-            idx = int(rng.choice(np.flatnonzero(~chosen)))
-        centers[j] = F[idx]
-        chosen[idx] = True
-        d2 = np.minimum(d2, ((F - centers[j]) ** 2).sum(axis=1))
-    return centers
+    return _seed_group(F, np.ascontiguousarray(F.T), k, [rng])[0]
 
 
 def _repair_empty(F, centers, labels, d2, k):
@@ -78,63 +119,112 @@ def _repair_empty(F, centers, labels, d2, k):
         d2[far] = 0.0
 
 
-def _cluster_means(F, labels, k):
-    """Per-cluster means of the rows of F; every cluster must be non-empty.
+def _repaired_means(F, weights, centers, labels, d2):
+    """Repair each restart's empty clusters in place, then return the
+    per-restart cluster means (R, k, q).
 
-    np.bincount adds each (cluster, column) bin's values in row order,
-    the order F[labels == j].mean(axis=0) uses for two or more columns,
-    so the means are bit-identical to it there. (numpy sums a single
-    column pairwise.)
+    The sums are one np.bincount over (R, q, N) restart-offset bins,
+    (r * k + labels[r, i]) * q + c for weights[r, c, i] = F[i, c], with
+    weights F.T tiled once per restart. It adds each bin's values in row
+    order, the order F[labels == j].mean(axis=0) uses for two or more
+    columns, so the means are bit-identical to it there. (numpy sums a
+    single column pairwise.)
     """
-    q = F.shape[1]
-    bins = (labels * q)[:, None] + np.arange(q)  # bin of F[i, c]: labels[i] * q + c
-    sums = np.bincount(bins.ravel(), weights=F.ravel(), minlength=k * q)
-    return sums.reshape(k, q) / np.bincount(labels, minlength=k)[:, None]
+    R, k, q = centers.shape
+    bins = labels + (np.arange(R) * k)[:, None]
+    sizes = np.bincount(bins.ravel(), minlength=R * k).reshape(R, k)
+    for r in np.flatnonzero((sizes == 0).any(axis=1)):
+        _repair_empty(F, centers[r], labels[r], d2[r], k)
+        bins[r] = labels[r] + r * k
+        sizes[r] = np.bincount(labels[r], minlength=k)
+    bins *= q
+    sums = np.bincount((bins[:, None, :] + np.arange(q)[:, None]).ravel(),
+                       weights=weights[:bins.size * q], minlength=R * k * q)
+    return sums.reshape(R, k, q) / sizes[:, :, None]
+
+
+def _lloyd_group(F, centers):
+    """One Lloyd run from each restart's centres (R, k, q); returns
+    (centroids (R, k, q), labels (R, N), inertias, inertia histories),
+    the last two as lists with one entry per restart.
+
+    A restart stops when its largest centroid shift falls below
+    SHIFT_TOL, or after MAX_ITER updates; it is then written out and
+    dropped from the arrays the others go on with.
+    """
+    R, k, q = centers.shape
+    n = F.shape[0]
+    norms = np.ones((n, 2))
+    norms[:, 0] = (F * F).sum(axis=1)
+    weights = np.tile(F.T.ravel(), R)
+    out_centers = np.empty_like(centers)
+    out_labels = np.empty((R, n), dtype=np.intp)
+    inertia = [0.0] * R
+    history = [[] for _ in range(R)]
+
+    active = np.arange(R)
+    labels, d2 = _assign(F, norms, centers)
+    done = np.zeros(R, dtype=bool)
+    for step in range(MAX_ITER + 1):
+        means = _repaired_means(F, weights, centers, labels, d2)
+        if step == MAX_ITER:
+            done[:] = True
+        if done.any():
+            # Final means so each centroid is exactly its members' mean;
+            # labels are kept as-is so the repair cannot be undone by tie
+            # reassignment.
+            final = np.flatnonzero(done)
+            err = F - np.take_along_axis(means[final], labels[final, :, None], axis=1)
+            sse = np.square(err, out=err).reshape(len(final), -1).sum(axis=1)
+            for i, s in zip(final, sse):
+                r = active[i]
+                out_centers[r], out_labels[r] = means[i], labels[i]
+                inertia[r] = float(s)
+                history[r].append(inertia[r])
+            keep = ~done
+            if not keep.any():
+                break
+            active, centers, means = active[keep], centers[keep], means[keep]
+            labels, d2 = labels[keep], d2[keep]
+        for r, s in zip(active, d2.sum(axis=1)):
+            history[r].append(float(s))
+        shift = np.sqrt(((means - centers) ** 2).sum(axis=2)).max(axis=1)
+        centers = means
+        labels, d2 = _assign(F, norms, centers)
+        done = shift < SHIFT_TOL
+    return out_centers, out_labels, inertia, history
 
 
 def _lloyd(F, centers):
     """One Lloyd run; returns (centroids, labels, inertia, inertia_history)."""
-    k = centers.shape[0]
-    f_sq = (F * F).sum(axis=1)
-    history = []
-    labels, d2 = _assign(F, f_sq, centers)
-    for _ in range(MAX_ITER):
-        _repair_empty(F, centers, labels, d2, k)
-        history.append(float(d2.sum()))
-        new_centers = _cluster_means(F, labels, k)
-        shift = np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max()
-        centers = new_centers
-        labels, d2 = _assign(F, f_sq, centers)
-        if shift < SHIFT_TOL:
-            break
-    _repair_empty(F, centers, labels, d2, k)
-    # Final means so each centroid is exactly its members' mean; labels are
-    # kept as-is so the repair cannot be undone by tie reassignment.
-    centers = _cluster_means(F, labels, k)
-    inertia = float(((F - centers[labels]) ** 2).sum())
-    history.append(inertia)
-    return centers, labels, inertia, history
+    return tuple(part[0] for part in _lloyd_group(F, centers[None]))
 
 
 def kmeans_fit(F, k: int, seed: int, n_init: int = N_INIT):
     """(centroids (k, q), labels (N,)) of the lowest-inertia of n_init
-    k-means++ restarts; every cluster is non-empty. Deterministic given
+    k-means++ restarts, restart r seeded with seed + r; the first such
+    restart on ties. Every cluster is non-empty. Deterministic given
     (F, k, seed)."""
     F = np.asarray(F, dtype=float)
     if F.ndim != 2:
         raise ValueError("F must be 2-D")
-    n = F.shape[0]
+    n, q = F.shape
     if not 1 <= k <= n:
         raise InvalidKError(f"k={k} outside [1, {n}]")
+    if n_init < 1:
+        raise ValueError(f"n_init={n_init} must be >= 1")
+    _check_finite(F, "F")
 
+    FT = np.ascontiguousarray(F.T)
+    group = max(1, GROUP_BYTES // (8 * n * max(q, k)))
     best = None
-    for restart in range(n_init):
-        rng = np.random.default_rng(seed + restart)
-        centers = _kmeanspp_init(F, k, rng)
-        centers, labels, inertia, _ = _lloyd(F, centers)
-        if best is None or inertia < best[2]:
-            best = (centers, labels, inertia)
-
+    for start in range(0, n_init, group):
+        rngs = [np.random.default_rng(seed + r)
+                for r in range(start, min(start + group, n_init))]
+        centers, labels, inertia, _ = _lloyd_group(F, _seed_group(F, FT, k, rngs))
+        for r in range(len(rngs)):
+            if best is None or inertia[r] < best[2]:
+                best = (centers[r], labels[r], inertia[r])
     return best[:2]
 
 

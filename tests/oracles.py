@@ -216,13 +216,13 @@ def lloyd(F, centers, max_iter=MAX_ITER, tol=SHIFT_TOL):
     return centers, labels, inertia, history
 
 
-def kmeans_fit(F, k, seed, n_init=N_INIT):
+def kmeans_fit(F, k, seed, n_init=N_INIT, max_iter=MAX_ITER):
     """(centroids, labels, inertia) of the best of n_init restarts."""
     best = None
     for restart in range(n_init):
         rng = np.random.default_rng(seed + restart)
         centers = kmeanspp_init(F, k, rng)
-        centers, labels, inertia, _ = lloyd(F, centers)
+        centers, labels, inertia, _ = lloyd(F, centers, max_iter)
         if best is None or inertia < best[2]:
             best = (centers, labels, inertia)
     return best

@@ -71,6 +71,17 @@ class TestKmeansFit:
         with pytest.raises(InvalidKError):
             kmeans_fit(np.zeros((3, 2)), 4, seed=0)
 
+    def test_no_restarts_named(self):
+        with pytest.raises(ValueError, match="n_init"):
+            kmeans_fit(np.zeros((3, 2)), 2, seed=0, n_init=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_named(self, bad):
+        F = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
+        F[2, 1] = F[3, 0] = bad
+        with pytest.raises(ValueError, match="row 2 is not finite"):
+            kmeans_fit(F, 2, seed=0)
+
     def test_centroids_are_member_means(self):
         rng = np.random.default_rng(4)
         F = rng.standard_normal((40, 3))

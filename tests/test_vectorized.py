@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from lkplo import clustering
 from lkplo.clustering import _kmeanspp_init, _lloyd, _repair_empty, assign_nearest, kmeans_fit
 from lkplo.data import gen_three_gaussians
 from lkplo.kernel_feature import (
@@ -148,6 +149,84 @@ class TestKmeansMatchesScalar:
         for g, w in zip(got[1:], want[1:]):
             assert np.array_equal(g, w)
         assert np.bincount(got[2], minlength=k).min() >= 1
+
+
+# Near the protocol's sizes (q 5-30, N 288-384). From q = 8 numpy sums a row
+# pairwise, while the seeding adds a distance's features in order (see
+# clustering._seed_group), which the q <= 6 problems above cannot see.
+wide_problems = st.tuples(
+    st.integers(0, 10_000),       # seed
+    st.integers(8, 300),          # n
+    st.integers(8, 30),           # q
+    st.integers(1, 30),           # k, at most n
+    st.floats(0.05, 1.0),         # distinct rows as a fraction of n
+)
+
+
+def unpack_wide(problem):
+    seed, n, q, k, distinct_frac = problem
+    return seed, features(seed, n, q, max(1, round(distinct_frac * n))), min(k, n)
+
+
+def assert_fit_matches_oracle(F, k, seed, n_init, max_iter=clustering.MAX_ITER):
+    centroids, labels = kmeans_fit(F, k, seed, n_init=n_init)
+    inertia = float(((F - centroids[labels]) ** 2).sum())
+    want = oracles.kmeans_fit(F, k, seed, n_init, max_iter)
+    assert_runs_equal((centroids, labels, inertia), want)
+
+
+class TestKmeansAtProtocolWidth:
+    @given(wide_problems)
+    @example((2, 300, 30, 30, 1.0))
+    @example((3, 40, 8, 30, 0.1))     # duplicate rows: zero-total draws
+    @settings(deadline=None, max_examples=40)
+    def test_kmeanspp_init(self, problem):
+        seed, F, k = unpack_wide(problem)
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert np.array_equal(_kmeanspp_init(F, k, rng), oracles.kmeanspp_init(F, k, ref))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @given(wide_problems)
+    @example((3, 40, 8, 30, 0.1))
+    @settings(deadline=None, max_examples=40)
+    def test_lloyd(self, problem):
+        seed, F, k = unpack_wide(problem)
+        centers = _kmeanspp_init(F, k, np.random.default_rng(seed))
+        assert_runs_equal(_lloyd(F, centers.copy()), oracles.lloyd(F, centers.copy()))
+
+    @given(wide_problems)
+    @example((3, 40, 8, 30, 0.1))
+    @settings(deadline=None, max_examples=25)
+    def test_kmeans_fit(self, problem):
+        seed, F, k = unpack_wide(problem)
+        assert_fit_matches_oracle(F, k, seed, n_init=3)
+
+    @pytest.mark.parametrize("per_group", [1, 3, 4])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_restarts_split_into_groups(self, monkeypatch, per_group, seed):
+        # A budget of per_group restarts' widest temporaries: the default
+        # 10 restarts run as several groups, and the best one may sit in
+        # any of them.
+        F = features(seed, 120, 12, 120)
+        monkeypatch.setattr(clustering, "GROUP_BYTES", per_group * 8 * 120 * 12)
+        sizes = []
+        lloyd_group = clustering._lloyd_group
+
+        def recording(F, centers):
+            sizes.append(len(centers))
+            return lloyd_group(F, centers)
+
+        monkeypatch.setattr(clustering, "_lloyd_group", recording)
+        assert_fit_matches_oracle(F, 9, seed, n_init=10)
+        assert sizes == [per_group] * (10 // per_group) + [10 % per_group] * (10 % per_group > 0)
+
+    @pytest.mark.parametrize("max_iter", [0, 1, 2, 4])
+    def test_iteration_cap(self, monkeypatch, max_iter):
+        # Restarts that reach the cap and restarts that converge finish
+        # in the same group, at different steps.
+        F = features(8, 200, 10, 200)
+        monkeypatch.setattr(clustering, "MAX_ITER", max_iter)
+        assert_fit_matches_oracle(F, 12, 3, n_init=6, max_iter=max_iter)
 
 
 class TestKernelMatchesReference:
