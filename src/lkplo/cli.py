@@ -76,11 +76,11 @@ def cmd_score(args):
 
 
 def cmd_benchmark(args):
-    dataset = _load_dataset(args.data, args.seed)
-    method = eval_mod.METHODS[args.method]()
     protocol = eval_mod.Protocol(
         k_folds=args.folds, n_trials=args.trials, seed=args.seed
     )
+    dataset = _load_dataset(args.data, args.seed)
+    method = eval_mod.METHODS[args.method]()
     report = eval_mod.evaluate_method(dataset, method, protocol)
     eval_mod.write_reports([report], args.out)
     print(f"{report.dataset} {report.method}: {report.mean:.3f} ± {report.std:.3f}")
@@ -88,11 +88,11 @@ def cmd_benchmark(args):
 
 
 def cmd_ablation(args):
-    specs = args.data or [f"synth:{name}" for name in data_mod.SYNTHETIC_GENERATORS]
-    datasets = [_load_dataset(spec, args.seed) for spec in specs]
     protocol = eval_mod.Protocol(
         k_folds=args.folds, n_trials=args.trials, seed=args.seed
     )
+    specs = args.data or [f"synth:{name}" for name in data_mod.SYNTHETIC_GENERATORS]
+    datasets = [_load_dataset(spec, args.seed) for spec in specs]
     reports = eval_mod.run_ablation(datasets, protocol)
     eval_mod.write_reports(reports, args.out)
     header = f"{'dataset':<18}{'method':<12}{'mean':>8}{'std':>8}"

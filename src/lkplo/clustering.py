@@ -97,10 +97,6 @@ def _seed_group(F, FT, k, rngs):
     return F[idx]
 
 
-def _kmeanspp_init(F, k, rng):
-    return _seed_group(F, np.ascontiguousarray(F.T), k, [rng])[0]
-
-
 def _repair_empty(F, centers, labels, d2, k):
     """Empty-cluster repair: the farthest point from its centroid (among
     clusters that can spare one) becomes a singleton centroid.
@@ -145,8 +141,7 @@ def _repaired_means(F, weights, centers, labels, d2):
 
 def _lloyd_group(F, centers):
     """One Lloyd run from each restart's centres (R, k, q); returns
-    (centroids (R, k, q), labels (R, N), inertias, inertia histories),
-    the last two as lists with one entry per restart.
+    (centroids (R, k, q), labels (R, N), inertias (R,)).
 
     A restart stops when its largest centroid shift falls below
     SHIFT_TOL, or after MAX_ITER updates; it is then written out and
@@ -159,8 +154,7 @@ def _lloyd_group(F, centers):
     weights = np.tile(F.T.ravel(), R)
     out_centers = np.empty_like(centers)
     out_labels = np.empty((R, n), dtype=np.intp)
-    inertia = [0.0] * R
-    history = [[] for _ in range(R)]
+    inertia = np.empty(R)
 
     active = np.arange(R)
     labels, d2 = _assign(F, norms, centers)
@@ -176,32 +170,22 @@ def _lloyd_group(F, centers):
             final = np.flatnonzero(done)
             err = F - np.take_along_axis(means[final], labels[final, :, None], axis=1)
             sse = np.square(err, out=err).reshape(len(final), -1).sum(axis=1)
-            for i, s in zip(final, sse):
-                r = active[i]
-                out_centers[r], out_labels[r] = means[i], labels[i]
-                inertia[r] = float(s)
-                history[r].append(inertia[r])
+            r = active[final]
+            out_centers[r], out_labels[r], inertia[r] = means[final], labels[final], sse
             keep = ~done
             if not keep.any():
                 break
             active, centers, means = active[keep], centers[keep], means[keep]
             labels, d2 = labels[keep], d2[keep]
-        for r, s in zip(active, d2.sum(axis=1)):
-            history[r].append(float(s))
         shift = np.sqrt(((means - centers) ** 2).sum(axis=2)).max(axis=1)
         centers = means
         labels, d2 = _assign(F, norms, centers)
         done = shift < SHIFT_TOL
-    return out_centers, out_labels, inertia, history
+    return out_centers, out_labels, inertia
 
 
-def _lloyd(F, centers):
-    """One Lloyd run; returns (centroids, labels, inertia, inertia_history)."""
-    return tuple(part[0] for part in _lloyd_group(F, centers[None]))
-
-
-def kmeans_fit(F, k: int, seed: int, n_init: int = N_INIT):
-    """(centroids (k, q), labels (N,)) of the lowest-inertia of n_init
+def kmeans_fit(F, k: int, seed: int):
+    """(centroids (k, q), labels (N,)) of the lowest-inertia of N_INIT
     k-means++ restarts, restart r seeded with seed + r; the first such
     restart on ties. Every cluster is non-empty. Deterministic given
     (F, k, seed)."""
@@ -211,17 +195,15 @@ def kmeans_fit(F, k: int, seed: int, n_init: int = N_INIT):
     n, q = F.shape
     if not 1 <= k <= n:
         raise InvalidKError(f"k={k} outside [1, {n}]")
-    if n_init < 1:
-        raise ValueError(f"n_init={n_init} must be >= 1")
     _check_finite(F, "F")
 
     FT = np.ascontiguousarray(F.T)
     group = max(1, GROUP_BYTES // (8 * n * max(q, k)))
     best = None
-    for start in range(0, n_init, group):
+    for start in range(0, N_INIT, group):
         rngs = [np.random.default_rng(seed + r)
-                for r in range(start, min(start + group, n_init))]
-        centers, labels, inertia, _ = _lloyd_group(F, _seed_group(F, FT, k, rngs))
+                for r in range(start, min(start + group, N_INIT))]
+        centers, labels, inertia = _lloyd_group(F, _seed_group(F, FT, k, rngs))
         for r in range(len(rngs)):
             if best is None or inertia[r] < best[2]:
                 best = (centers[r], labels[r], inertia[r])

@@ -211,6 +211,8 @@ class Protocol:
             raise ValueError(f"k_folds (--folds) must be >= 2, got {self.k_folds}")
         if self.n_trials < 1:
             raise ValueError(f"n_trials (--trials) must be >= 1, got {self.n_trials}")
+        if self.seed < 0:
+            raise ValueError(f"seed (--seed) must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -298,54 +300,49 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _drawn(next_unit, n_units: int):
-    """Unit indices drawn from the shared counter next_unit until none
-    are left."""
-    while True:
-        with next_unit.get_lock():
-            index = next_unit.value
-            next_unit.value = index + 1
-        if index >= n_units:
-            return
-        yield index
+# (unit functions, shared counter or None) of the _Units in use, set on
+# entry and cleared on exit. The pool's workers fork at its first submit
+# and inherit it, so the unit functions, which may be closures, are never
+# pickled; a shared counter can only be passed that way too.
+_held = None
 
 
-def _pull_units(unit: Callable, indices) -> dict:
-    """Run unit(i) for each i in indices; returns {i: (result, exception)}."""
+def _pull(which: int, n_units: int, args: tuple) -> dict:
+    """{i: outcome} of units[which](*args, i) for each index i drawn from
+    the shared counter until none are left, or for every index without
+    one. An outcome is the unit's result or the exception it raised."""
+    units, next_unit = _held
     outcomes = {}
-    for index in indices:
+    while True:
+        if next_unit is None:
+            index = len(outcomes)
+        else:
+            with next_unit.get_lock():
+                index = next_unit.value
+                next_unit.value = index + 1
+        if index >= n_units:
+            return outcomes
         try:
-            outcomes[index] = (unit(index), None)
-        except Exception as exc:  # raised by _Units.map, in unit order
-            outcomes[index] = (None, exc)
-    return outcomes
+            outcomes[index] = units[which](*args, index)
+        except Exception as exc:  # an outcome like any other; see _raised
+            outcomes[index] = exc
 
 
-# (unit functions, next_unit) in a pool worker, set by the pool's
-# initializer. The worker is forked, so the unit functions, which may be
-# closures, are inherited and never pickled; a shared counter can only be
-# passed that way too.
-_held_units = None
-
-
-def _hold_units(*held):
-    global _held_units
-    _held_units = held
-
-
-def _pull_held_units(which: int, n_units: int, args: tuple) -> dict:
-    units, next_unit = _held_units
-    return _pull_units(partial(units[which], *args), _drawn(next_unit, n_units))
+def _raised(outcome):
+    """outcome, or raise it if it is an exception."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 class _Units:
     """Runs maps of independent units across the usable CPUs.
 
-    The caller and min(max_units, usable CPUs) - 1 workers, forked once
-    on entry, pull the next index of a map from one shared counter until
-    none are left, so a slow unit holds up one process while the others
-    go on. Only the functions given on construction can be mapped: the
-    workers inherit them.
+    The caller and min(max_units, usable CPUs) - 1 workers, forked at
+    the first map, pull the next index of a map from one shared counter
+    until none are left, so a slow unit holds up one process while the
+    others go on. Only the functions given on construction can be mapped:
+    the workers inherit them.
     """
 
     def __init__(self, max_units: int, *units: Callable):
@@ -353,44 +350,38 @@ class _Units:
         self.workers = min(max_units, _usable_cpus())
 
     def __enter__(self):
+        global _held
+        _held = (self.units, None)
         if self.workers > 1:
             # Imported here so that `lkplo score` never loads them.
             from concurrent.futures import ProcessPoolExecutor
             from multiprocessing import get_context
 
             context = get_context("fork")
-            self.next_unit = context.Value("i", 0)
-            self.pool = ProcessPoolExecutor(
-                self.workers - 1, mp_context=context, initializer=_hold_units,
-                initargs=(self.units, self.next_unit))
+            _held = (self.units, context.Value("i", 0))
+            self.pool = ProcessPoolExecutor(self.workers - 1, mp_context=context)
         return self
 
     def __exit__(self, *exc_info):
+        global _held
         if self.workers > 1:
             self.pool.shutdown()
+        _held = None
 
     def map(self, unit: Callable, n_units: int, *args) -> list:
-        """[unit(*args, i) for i in range(n_units)]; args go to the
-        workers pickled. Results are kept by index, so they do not depend
-        on which process ran what. If units raise, the lowest-index one's
-        exception is raised, as a serial loop would raise it."""
+        """Outcomes of unit(*args, i) for i in range(n_units), in index
+        order: each unit's result, or the exception it raised (see
+        _raised). args go to the workers pickled. Outcomes are kept by
+        index, so they do not depend on which process ran what."""
+        which, pulls = self.units.index(unit), []
         if self.workers > 1:
-            which = self.units.index(unit)
-            self.next_unit.value = 0  # no worker pulls between maps
-            pulls = [self.pool.submit(_pull_held_units, which, n_units, args)
+            _held[1].value = 0  # no worker pulls between maps
+            pulls = [self.pool.submit(_pull, which, n_units, args)
                      for _ in range(self.workers - 1)]
-            outcomes = _pull_units(partial(unit, *args), _drawn(self.next_unit, n_units))
-            for pull in pulls:
-                outcomes.update(pull.result())
-        else:
-            outcomes = _pull_units(partial(unit, *args), range(n_units))
-        results = []
-        for index in range(n_units):
-            result, exc = outcomes[index]
-            if exc is not None:
-                raise exc
-            results.append(result)
-        return results
+        outcomes = _pull(which, n_units, args)
+        for pull in pulls:
+            outcomes.update(pull.result())
+        return [outcomes[index] for index in range(n_units)]
 
 
 def evaluate_method(dataset: Dataset, method: Method,
@@ -419,15 +410,7 @@ def evaluate_method(dataset: Dataset, method: Method,
 
     def trial(unit):
         fold, t = divmod(unit, n_trials)
-        try:
-            return outer[fold].objective(_trial_params(space, outer[fold].search_seed, t))
-        except Exception as exc:  # random_search decides, replaying it below
-            return exc
-
-    def replayed(outcome):
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
+        return outer[fold].objective(_trial_params(space, outer[fold].search_seed, t))
 
     def refit(bests, fold):
         model, scaler = outer[fold].refit(bests[fold])
@@ -447,11 +430,12 @@ def evaluate_method(dataset: Dataset, method: Method,
             pending = iter(outcomes[fold * n_trials:(fold + 1) * n_trials])
             try:
                 searches.append(outer_fold.search(
-                    n_trials, lambda params: replayed(next(pending))))
+                    n_trials, lambda params: _raised(next(pending))))
             except Exception as exc:  # raised after the refits below it
                 failure = exc
                 break
         aucs = units.map(refit, len(searches), [best for best, _ in searches])
+    aucs = [_raised(auc) for auc in aucs]
     if failure is not None:
         raise failure
 

@@ -46,8 +46,8 @@ class KernelParams:
     gamma: float
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if not 0 < self.gamma < np.inf:
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
 
 
 @dataclass

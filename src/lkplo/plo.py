@@ -46,8 +46,8 @@ class LossSpec:
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}")
-        if self.kind == "svm_like" and not (self.c is not None and self.c > 0):
-            raise ValueError("svm_like loss requires c > 0")
+        if self.kind == "svm_like" and not (self.c is not None and 0 < self.c < math.inf):
+            raise ValueError(f"svm_like loss requires a finite c > 0, got {self.c}")
 
 
 @dataclass(frozen=True)
@@ -98,6 +98,8 @@ class FitConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed (--seed) must be >= 0, got {self.seed}")
 
 
 def gen_directions(F_centered, config: DirectionConfig, seed: int) -> np.ndarray:

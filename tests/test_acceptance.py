@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import oracles
-from lkplo import cli, evaluation
-from lkplo.clustering import _lloyd, assign_nearest, kmeans_fit
+from lkplo import cli, clustering, evaluation
+from lkplo.clustering import _lloyd_group, assign_nearest, kmeans_fit
 from lkplo.data import (
     Dataset,
     gen_three_gaussians,
@@ -267,18 +267,33 @@ def test_invariant_eigenvalue_ordering():
     check("criterion 5: eigenvalue ordering and positivity (1000 cases)", True)
 
 
-def test_invariant_kmeans_idempotence_and_monotonicity():
+def test_invariant_kmeans_idempotence_and_monotonicity(monkeypatch):
+    # Monotonicity on the production iterates: the d2.sum() of each
+    # assignment of a Lloyd run, recorded as it returns (before any
+    # empty-cluster repair), then the run's final inertia.
+    sums = []
+    assign = clustering._assign
+
+    def recording(F, norms, centers):
+        labels, d2 = assign(F, norms, centers)
+        sums.append(float(d2.sum()))
+        return labels, d2
+
+    monkeypatch.setattr(clustering, "_assign", recording)
+    monkeypatch.setattr(clustering, "N_INIT", 2)
     rng = np.random.default_rng(202)
     for _ in range(N_CASES):
         n = int(rng.integers(4, 13))
         k = int(rng.integers(1, 4))
         F = rng.standard_normal((n, 2))
-        centroids, labels = kmeans_fit(F, k, seed=int(rng.integers(1 << 31)), n_init=2)
+        centroids, labels = kmeans_fit(F, k, seed=int(rng.integers(1 << 31)))
         assert len(labels) == n and np.bincount(labels, minlength=k).min() >= 1
         reassigned = assign_nearest(centroids, F)
         np.testing.assert_array_equal(reassigned, labels)
         centers = F[rng.choice(n, size=k, replace=False)].copy()
-        _, _, _, history = _lloyd(F, centers)
+        sums.clear()
+        inertia = _lloyd_group(F, centers[None])[2][0]
+        history = sums + [inertia]
         assert all(b <= a + 1e-9 for a, b in zip(history, history[1:]))
     check("criterion 5: k-means idempotence + inertia monotonicity (1000 cases)", True)
 

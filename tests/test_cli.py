@@ -100,6 +100,17 @@ class TestFitCommand:
         assert "n_random must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--gamma", "inf", "gamma must be positive and finite, got inf"),
+        ("--c", "inf", "svm_like loss requires a finite c > 0, got inf"),
+        ("--seed", "-1", "seed (--seed) must be >= 0, got -1"),
+    ])
+    def test_value_out_of_range_named(self, tmp_path, train_csv, capsys, flag, value, message):
+        out = tmp_path / "m.json"
+        assert run("fit", "--data", train_csv, "--out", out, flag, value) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_config_key(self, tmp_path, train_csv, capsys):
         cfg = tmp_path / "run.ini"
         cfg.write_text("[fit]\nnot_a_key = 1\n")
@@ -206,6 +217,7 @@ class TestBenchmarkCommand:
     @pytest.mark.parametrize("flag, value, message", [
         ("--folds", "1", "k_folds (--folds) must be >= 2, got 1"),
         ("--trials", "0", "n_trials (--trials) must be >= 1, got 0"),
+        ("--seed", "-1", "seed (--seed) must be >= 0, got -1"),
     ])
     def test_protocol_below_minimum_named(self, tmp_path, capsys, flag, value, message):
         rc = run("benchmark", "--data", "synth:moons", "--method", "plo",
@@ -225,6 +237,11 @@ class TestBenchmarkCommand:
 
 
 class TestAblationCommand:
+    def test_negative_seed_named(self, tmp_path, capsys):
+        assert run("ablation", "--seed", "-1", "--out", tmp_path / "abl") == 1
+        assert "seed (--seed) must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "abl.csv").exists()
+
     def test_table_over_given_dataset(self, tmp_path, capsys):
         rc = run("ablation", "--data", "synth:three_gaussians",
                  "--folds", "3", "--trials", "2", "--seed", "0",

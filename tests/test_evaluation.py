@@ -364,7 +364,7 @@ def set_usable_cpus(monkeypatch, n):
 
 def map_units(unit, n_units):
     with evaluation._Units(n_units, unit) as units:
-        return units.map(unit, n_units)
+        return [evaluation._raised(outcome) for outcome in units.map(unit, n_units)]
 
 
 def split_units(monkeypatch, body):
@@ -423,14 +423,44 @@ class TestFoldsAcrossCpus:
         assert [i for i, _ in results] == list(range(12))
         assert any(in_worker for _, in_worker in results)
 
-    def test_unit_map_raises_lowest_index_exception(self, monkeypatch):
+    def test_unit_map_returns_each_exception_at_its_index(self, monkeypatch):
         # The worker's unit (0 or 1) and the caller's unit 11 raise.
         def body(i, in_worker):
             if in_worker or i == 11:
                 raise KeyError(f"unit {i}")
+            return i
 
-        with pytest.raises(KeyError, match=r"^'unit [01]'$"):
-            map_units(split_units(monkeypatch, body), 12)
+        unit = split_units(monkeypatch, body)
+        with evaluation._Units(12, unit) as units:
+            outcomes = units.map(unit, 12)
+        failed = [i for i, outcome in enumerate(outcomes) if isinstance(outcome, KeyError)]
+        assert failed in ([0, 11], [1, 11])
+        assert [outcomes[i].args for i in failed] == [(f"unit {i}",) for i in failed]
+        assert [outcome for i, outcome in enumerate(outcomes) if i not in failed] == [
+            i for i in range(12) if i not in failed]
+        # Raised in index order, as evaluate_method raises the refits'.
+        with pytest.raises(KeyError, match=rf"^'unit {failed[0]}'$"):
+            [evaluation._raised(outcome) for outcome in outcomes]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_units_released_when_evaluate_method_returns_or_raises(self, monkeypatch, cpus):
+        # The caller keeps no protocol's folds alive through the global
+        # the workers inherit.
+        set_usable_cpus(monkeypatch, cpus)
+        ds, method, protocol = label_coded_dataset(15), METHODS["plo"](), Protocol(n_trials=2)
+        held = []
+
+        def score(X):
+            held.append(evaluation._held is not None)
+            return X[:, 0]
+
+        stub_detector(monkeypatch, score)
+        evaluate_method(ds, method, protocol)
+        assert evaluation._held is None and held and all(held)
+        stub_detector(monkeypatch, lambda X: X[:, "0"])
+        with pytest.raises(IndexError):
+            evaluate_method(ds, method, protocol)
+        assert evaluation._held is None
 
     def test_each_unit_runs_once_per_map_with_more_workers_than_cores(self, monkeypatch):
         set_usable_cpus(monkeypatch, 2 * len(os.sched_getaffinity(0)))

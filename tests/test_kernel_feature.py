@@ -147,6 +147,13 @@ class TestCenterGram:
         assert np.abs(Kbar2 - Kbar).max() <= 1e-9 * 8
 
 
+class TestKernelParams:
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, np.inf, np.nan])
+    def test_gamma_outside_positive_finite_named(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be positive and finite"):
+            KernelParams(gamma)
+
+
 class TestFitKpca:
     def test_two_points_clamp_to_rank_one(self):
         X = np.array([[0.0, 0.0], [1.0, 1.0]])

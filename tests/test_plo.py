@@ -150,6 +150,13 @@ def one_loss(f, loss, median=2.0, mad=1.4826):
     return _max_loss(np.array([[f[0]]]), np.array([median]), np.array([mad]), loss)[0]
 
 
+class TestLossSpec:
+    @pytest.mark.parametrize("c", [None, 0.0, -1.0, np.inf, np.nan])
+    def test_svm_like_c_outside_positive_finite_named(self, c):
+        with pytest.raises(ValueError, match="svm_like loss requires a finite c > 0"):
+            LossSpec("svm_like", c)
+
+
 class TestLosses:
     rz = LossSpec("robust_z")
 
@@ -249,6 +256,10 @@ class TestLocalScore:
 
 
 class TestFit:
+    def test_negative_seed_named(self):
+        with pytest.raises(ValueError, match=r"seed \(--seed\) must be >= 0, got -1"):
+            svm_config(seed=-1)
+
     def test_plo_shape(self):
         rng = np.random.default_rng(8)
         X = rng.standard_normal((15, 2))

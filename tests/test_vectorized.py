@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import oracles
 from lkplo import clustering
-from lkplo.clustering import _kmeanspp_init, _lloyd, _repair_empty, assign_nearest, kmeans_fit
+from lkplo.clustering import _lloyd_group, _repair_empty, _seed_group, assign_nearest, kmeans_fit
 from lkplo.data import gen_three_gaussians
 from lkplo.kernel_feature import (
     _ROWS,
@@ -55,6 +55,46 @@ def assert_runs_equal(got, want):
         assert got[3] == want[3]
 
 
+def kmeanspp_init(F, k, rng):
+    """One restart's k-means++ centres, seeded as a group of one."""
+    return _seed_group(F, np.ascontiguousarray(F.T), k, [rng])[0]
+
+
+def recording_sums(mp, module, name):
+    """Wrap module.name, an assignment returning (labels, d2), so that
+    each call appends d2.sum() to the returned list as it returns, before
+    any empty-cluster repair changes d2."""
+    sums = []
+    assign = getattr(module, name)
+
+    def recording(*args):
+        labels, d2 = assign(*args)
+        sums.append(float(d2.sum()))
+        return labels, d2
+
+    mp.setattr(module, name, recording)
+    return sums
+
+
+def lloyd_runs(F, centers):
+    """(got, want): one Lloyd run from centers as a group of one, and the
+    oracle's, each as (centroids, labels, inertia, the d2.sum() of every
+    assignment in the run)."""
+    with pytest.MonkeyPatch.context() as mp:
+        got_sums = recording_sums(mp, clustering, "_assign")
+        want_sums = recording_sums(mp, oracles, "assign")
+        got = tuple(part[0] for part in _lloyd_group(F, centers[None].copy()))
+        want = oracles.lloyd(F, centers.copy())[:3]
+    return got + (got_sums,), want + (want_sums,)
+
+
+def fit_restarts(F, k, seed, n_init):
+    """kmeans_fit with n_init restarts in place of N_INIT."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(clustering, "N_INIT", n_init)
+        return kmeans_fit(F, k, seed)
+
+
 # q >= 2: with one column, F[labels == j].mean(axis=0) reduces a
 # contiguous run and numpy sums it pairwise; see test_single_column.
 problems = st.tuples(
@@ -83,17 +123,15 @@ class TestKmeansMatchesScalar:
     @settings(deadline=None)
     def test_lloyd(self, problem):
         seed, F, k = unpack(problem)
-        centers = _kmeanspp_init(F, k, np.random.default_rng(seed))
-        got = _lloyd(F, centers.copy())
-        want = oracles.lloyd(F, centers.copy())
-        assert_runs_equal(got, want)
+        centers = kmeanspp_init(F, k, np.random.default_rng(seed))
+        assert_runs_equal(*lloyd_runs(F, centers))
 
     @given(problems)
     @example((3, 30, 2, 1.0, 0.5))
     @settings(deadline=None, max_examples=30)
     def test_kmeans_fit(self, problem):
         seed, F, k = unpack(problem)
-        centroids, labels = kmeans_fit(F, k, seed, n_init=3)
+        centroids, labels = fit_restarts(F, k, seed, 3)
         want = oracles.kmeans_fit(F, k, seed, n_init=3)
         inertia = float(((F - centroids[labels]) ** 2).sum())
         assert_runs_equal((centroids, labels, inertia), want)
@@ -103,9 +141,7 @@ class TestKmeansMatchesScalar:
         # bincount in index order, so the centroids agree to rounding
         # only. The protocol's q is at least 5.
         F = features(4, 40, 1, 40)
-        centers = _kmeanspp_init(F, 3, np.random.default_rng(4))
-        got = _lloyd(F, centers.copy())
-        want = oracles.lloyd(F, centers.copy())
+        got, want = lloyd_runs(F, kmeanspp_init(F, 3, np.random.default_rng(4)))
         assert np.array_equal(got[1], want[1])
         np.testing.assert_allclose(got[0], want[0], rtol=1e-14, atol=0)
 
@@ -114,9 +150,7 @@ class TestKmeansMatchesScalar:
         # equal coordinates, the first assignment leaves clusters empty,
         # and the repair has to fill them.
         F = np.repeat(np.column_stack([np.arange(6.0), np.arange(6.0) ** 2]), 2, axis=0)
-        centers = _kmeanspp_init(F, 12, np.random.default_rng(0))
-        got = _lloyd(F, centers.copy())
-        want = oracles.lloyd(F, centers.copy())
+        got, want = lloyd_runs(F, kmeanspp_init(F, 12, np.random.default_rng(0)))
         assert_runs_equal(got, want)
         assert np.bincount(got[1], minlength=12).tolist() == [1] * 12
 
@@ -128,7 +162,7 @@ class TestKmeansMatchesScalar:
     def test_kmeanspp_init(self, problem):
         seed, F, k = unpack(problem)
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert np.array_equal(_kmeanspp_init(F, k, rng), oracles.kmeanspp_init(F, k, ref))
+        assert np.array_equal(kmeanspp_init(F, k, rng), oracles.kmeanspp_init(F, k, ref))
         assert rng.bit_generator.state == ref.bit_generator.state
 
     @given(st.integers(0, 10_000), st.integers(2, 30), st.integers(1, 29))
@@ -169,7 +203,7 @@ def unpack_wide(problem):
 
 
 def assert_fit_matches_oracle(F, k, seed, n_init, max_iter=clustering.MAX_ITER):
-    centroids, labels = kmeans_fit(F, k, seed, n_init=n_init)
+    centroids, labels = fit_restarts(F, k, seed, n_init)
     inertia = float(((F - centroids[labels]) ** 2).sum())
     want = oracles.kmeans_fit(F, k, seed, n_init, max_iter)
     assert_runs_equal((centroids, labels, inertia), want)
@@ -183,7 +217,7 @@ class TestKmeansAtProtocolWidth:
     def test_kmeanspp_init(self, problem):
         seed, F, k = unpack_wide(problem)
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert np.array_equal(_kmeanspp_init(F, k, rng), oracles.kmeanspp_init(F, k, ref))
+        assert np.array_equal(kmeanspp_init(F, k, rng), oracles.kmeanspp_init(F, k, ref))
         assert rng.bit_generator.state == ref.bit_generator.state
 
     @given(wide_problems)
@@ -191,8 +225,8 @@ class TestKmeansAtProtocolWidth:
     @settings(deadline=None, max_examples=40)
     def test_lloyd(self, problem):
         seed, F, k = unpack_wide(problem)
-        centers = _kmeanspp_init(F, k, np.random.default_rng(seed))
-        assert_runs_equal(_lloyd(F, centers.copy()), oracles.lloyd(F, centers.copy()))
+        centers = kmeanspp_init(F, k, np.random.default_rng(seed))
+        assert_runs_equal(*lloyd_runs(F, centers))
 
     @given(wide_problems)
     @example((3, 40, 8, 30, 0.1))
