@@ -103,6 +103,8 @@ def cmd_ablation(args):
 
 
 def cmd_gen(args):
+    if args.seed < 0:
+        raise ValueError(f"seed (--seed) must be >= 0, got {args.seed}")
     dataset = data_mod.SYNTHETIC_GENERATORS[args.name](args.seed)
     data_mod.save_csv(dataset, args.out)
     print(f"wrote {dataset.name}: {len(dataset.y)} rows -> {args.out}")

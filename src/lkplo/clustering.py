@@ -5,22 +5,20 @@ lowest-inertia run, and empty-cluster repair so every surviving
 cluster has at least one member (the 1/N_k score weighting requires
 N_k >= 1).
 
-Restarts run in groups, on arrays with a leading restart axis, so one
-numpy call serves every restart of a group; the group size is
-GROUP_BYTES over the widest per-restart temporary (N * max(q, k)
-doubles). Each restart computes what it would alone: the same RNG
-draws, the same products, and the same sums in the same order, except
-for the seeding distances noted in _seed_group.
+Restarts run in groups of per_block(N * max(q, k)) on arrays with a
+leading restart axis, so one numpy call serves every restart of a group.
+Each restart computes what it would alone: the same RNG draws, the same
+products, and the same sums in the same order, except for the seeding
+distances noted in _seed_group.
 """
 
 import numpy as np
 
-from .kernel_feature import _check_finite
+from .kernel_feature import _check_finite, per_block
 
 N_INIT = 10
 MAX_ITER = 300
 SHIFT_TOL = 1e-6
-GROUP_BYTES = 1 << 20
 
 
 class InvalidKError(ValueError):
@@ -198,7 +196,7 @@ def kmeans_fit(F, k: int, seed: int):
     _check_finite(F, "F")
 
     FT = np.ascontiguousarray(F.T)
-    group = max(1, GROUP_BYTES // (8 * n * max(q, k)))
+    group = per_block(n * max(q, k))
     best = None
     for start in range(0, N_INIT, group):
         rngs = [np.random.default_rng(seed + r)

@@ -351,15 +351,16 @@ class _Units:
 
     def __enter__(self):
         global _held
-        _held = (self.units, None)
+        counter = None
         if self.workers > 1:
             # Imported here so that `lkplo score` never loads them.
             from concurrent.futures import ProcessPoolExecutor
             from multiprocessing import get_context
 
             context = get_context("fork")
-            _held = (self.units, context.Value("i", 0))
+            counter = context.Value("i", 0)
             self.pool = ProcessPoolExecutor(self.workers - 1, mp_context=context)
+        _held = (self.units, counter)  # last: __exit__ runs only if this returns
         return self
 
     def __exit__(self, *exc_info):

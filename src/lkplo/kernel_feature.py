@@ -25,7 +25,7 @@ import numpy as np
 # are discarded: dividing by sqrt(lambda) in transform() would blow up.
 ABS_EIG_FLOOR = 1e-10
 REL_EIG_FLOOR = 1e-12
-_ROWS = 256  # rows per chunk of an N-wide temporary (4 MB at N = 2000)
+BLOCK_BYTES = 1 << 20  # per block of a batched temporary, about L2-sized
 # Above this many training points the top eigenpairs come from ARPACK's
 # Lanczos solver, at or below it from the dense dsyevr solve; a timed
 # sweep put the crossover here (README.md gives it). Lanczos also needs
@@ -76,6 +76,11 @@ class KpcaModel:
         return A - A.sum(axis=0) / len(A), offset
 
 
+def per_block(width: int) -> int:
+    """Rows of width doubles that fit in BLOCK_BYTES, at least one."""
+    return max(1, BLOCK_BYTES // (8 * max(width, 1)))
+
+
 def _check_finite(X, what):
     """Raise a ValueError naming the first row of X with a NaN or inf."""
     bad = ~np.isfinite(X).all(axis=1)
@@ -100,8 +105,9 @@ def _cross_kernel(X, Y, params: KernelParams) -> np.ndarray:
     right[1] = (Y * Y).sum(axis=1)
     K = X @ Y.T
     K *= -2.0
-    for s in range(0, len(K), _ROWS):
-        K[s:s + _ROWS] += left[s:s + _ROWS] @ right
+    rows = per_block(len(Y))
+    for s in range(0, len(K), rows):
+        K[s:s + rows] += left[s:s + rows] @ right
     np.clip(K, 0.0, None, out=K)
     K *= -params.gamma
     return np.exp(K, out=K)
@@ -123,10 +129,11 @@ def center_gram(K):
     mean t, which center out-of-sample kernel rows consistently."""
     row_means = K.mean(axis=1)
     total_mean = float(K.mean())
-    for s in range(0, len(K), _ROWS):
-        rows = K[s:s + _ROWS]
-        rows -= row_means[s:s + _ROWS, None] + row_means
-        rows += total_mean
+    rows = per_block(len(K))
+    for s in range(0, len(K), rows):
+        chunk = K[s:s + rows]
+        chunk -= row_means[s:s + rows, None] + row_means
+        chunk += total_mean
     return row_means, total_mean
 
 

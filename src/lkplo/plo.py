@@ -17,7 +17,8 @@ from typing import Optional
 import numpy as np
 
 from .clustering import assign_nearest, kmeans_fit
-from .kernel_feature import KernelParams, KpcaModel, _check_finite, fit_kpca, transform
+from .kernel_feature import (KernelParams, KpcaModel, _check_finite, fit_kpca,
+                             per_block, transform)
 
 MAD_CONSISTENCY = 1.4826
 # Robust-Z divides by the MAD, which is 0 for constant projections; the
@@ -25,10 +26,6 @@ MAD_CONSISTENCY = 1.4826
 MAD_FLOOR = 1e-9
 DIRECTION_NORM_FLOOR = 1e-12
 MODEL_FORMAT = "lkplo-model-v2"
-# Byte budget for one score block's widest temporary (about L2-sized):
-# each (B, N) kernel, (B, k, q) assignment and (B, D) projection array
-# is allocated per block of B rows, not per batch.
-SCORE_BLOCK_BYTES = 1 << 20
 
 VARIANTS = ("plo", "kplo", "lkplo")
 LOSS_KINDS = ("robust_z", "svm_like")
@@ -109,7 +106,8 @@ def gen_directions(F_centered, config: DirectionConfig, seed: int) -> np.ndarray
     vectors. One-Point: normalized member rows, sampled without
     replacement (with replacement when more are requested than rows
     exist). Two-Points: normalized differences of sampled distinct row
-    pairs. Near-zero candidates are resampled up to a retry budget.
+    pairs, redrawn up to a retry budget as i == j is common. Near-zero
+    candidates are dropped.
     """
     F_centered = np.asarray(F_centered, dtype=float)
     n_k, q = F_centered.shape
@@ -126,13 +124,7 @@ def gen_directions(F_centered, config: DirectionConfig, seed: int) -> np.ndarray
         return rows[keep] / nrm[keep, None]
 
     if config.n_random > 0:
-        kept = np.empty((0, q))
-        budget = 10
-        while len(kept) < config.n_random and budget > 0:
-            cand = rng.standard_normal((config.n_random - len(kept), q))
-            kept = np.vstack([kept, norm_rows(cand)])
-            budget -= 1
-        out.append(kept)
+        out.append(norm_rows(rng.standard_normal((config.n_random, q))))
 
     if config.include_basis:
         out.append(np.eye(q))
@@ -244,14 +236,14 @@ def fit(X, config: FitConfig) -> LkploModel:
 
 
 def _block_rows(model: LkploModel) -> int:
-    """Rows per score block: SCORE_BLOCK_BYTES over the widest per-row
-    temporary, the training size N (kernel rows), the direction count D
+    """Rows per score block: per_block of the widest per-row temporary,
+    the training size N (kernel rows), the direction count D
     (projections) or k * q (assignment differences)."""
     widths = [len(u) for u in model.directions]
     widths.append(model.centroids.size)
     if model.kpca is not None:
         widths.append(len(model.kpca.train_points))
-    return max(1, SCORE_BLOCK_BYTES // (8 * max(widths)))
+    return per_block(max(widths))
 
 
 def _score_block(model: LkploModel, X) -> np.ndarray:
@@ -277,9 +269,9 @@ def score(model: LkploModel, Xnew) -> np.ndarray:
     """Final outlyingness: (1 / N_k) * local score at the nearest cluster.
 
     Rows are scored in blocks of _block_rows(model), so working memory is
-    O(SCORE_BLOCK_BYTES) whatever the batch size. A batch of at most one
-    block is scored in one call, bit-identical to an unblocked pass;
-    larger batches agree with it to rounding, because BLAS rounds a
+    O(kernel_feature.BLOCK_BYTES) whatever the batch size. A batch of at
+    most one block is scored in one call, bit-identical to an unblocked
+    pass; larger batches agree with it to rounding, because BLAS rounds a
     matrix product's rows differently for different row counts.
     """
     Xnew = np.asarray(Xnew, dtype=float)

@@ -267,6 +267,31 @@ class TestGenCommand:
         assert run("gen", "--name", "inside_outside", "--seed", "5", "--out", b) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_negative_seed_named(self, tmp_path, capsys):
+        out = tmp_path / "synth.csv"
+        assert run("gen", "--name", "moons", "--seed", "-1", "--out", out) == 1
+        assert "seed (--seed) must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["benchmark", "--data", "synth:nope"], 1, "unknown synthetic dataset 'nope'"),
+    # The file has no [fit] section, so its data key does not reach fit.
+    (["fit", "--config", "{cfg}"], 2, "the following arguments are required: --data"),
+    (["fit", "--data", "x.csv", "--bogus", "1"], 2, "unrecognized arguments: --bogus 1"),
+])
+def test_bad_command_line_named(tmp_path, capsys, argv, code, message):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[score]\ndata = x.csv\n")
+    argv = [a.format(cfg=cfg) for a in argv] + ["--out", tmp_path / "out"]
+    try:
+        rc = run(*argv)
+    except SystemExit as exc:  # argparse's usage errors
+        rc = exc.code
+    assert rc == code
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
+
 
 class TestBoundaryGridCommand:
     def fit_2d_model(self, tmp_path, train_csv, **flags):

@@ -87,6 +87,10 @@ class TestKmeansFit:
         with pytest.raises(InvalidKError):
             kmeans_fit(np.zeros((3, 2)), 4, seed=0)
 
+    def test_one_dimensional_features_named(self):
+        with pytest.raises(ValueError, match="^F must be 2-D$"):
+            kmeans_fit(np.zeros(4), 1, seed=0)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_row_named(self, bad):
         F = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])

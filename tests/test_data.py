@@ -63,6 +63,15 @@ class TestLoadCsv:
         with pytest.raises(CsvFormatError, match="label"):
             load_csv(p)
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty file"),
+        ("a,label\n", "no data rows"),
+    ])
+    def test_no_rows_named(self, tmp_path, text, message):
+        p = self.write(tmp_path, text)
+        with pytest.raises(CsvFormatError, match=f": {message}$"):
+            load_csv(p)
+
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
         ds = Dataset("t", rng.standard_normal((12, 3)), rng.integers(0, 2, 12))

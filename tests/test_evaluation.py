@@ -65,6 +65,16 @@ class TestStratifiedKfold:
             stratified_kfold(y, 5, seed=0)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: stratified_kfold([0, 1], 0, seed=0), "k must be >= 1"),
+    (lambda: random_search({}, 0, seed=0, objective=lambda p: 0.0),
+     "n_trials must be >= 1"),
+])
+def test_count_below_one_named(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 class TestRocAuc:
     def test_perfect_separation(self):
         assert roc_auc([1.0, 2.0, 9.0, 8.0], [0, 0, 1, 1]) == 1.0
@@ -530,6 +540,7 @@ class TestFoldsAcrossCpus:
         set_usable_cpus(monkeypatch, 2)
         with pytest.raises(AssertionError, match="a process pool was created"):
             evaluate_method(ds, method, protocol)
+        assert evaluation._held is None
         set_usable_cpus(monkeypatch, 1)
         assert evaluate_method(ds, method, protocol).mean == pytest.approx(1.0)
 

@@ -167,6 +167,15 @@ class TestFitKpca:
         model = fit_kpca(X, KernelParams(1.0), q_requested=10)
         assert model.q < 10
 
+    @pytest.mark.parametrize("n, q, message", [
+        (1, 3, "need at least 2 training points"),
+        (2, 0, "q_requested must be >= 1"),
+    ])
+    def test_too_few_points_or_components_named(self, n, q, message):
+        X = random_matrix(np.random.default_rng(3), n, 2)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            kpca_from_gram(gram_matrix(X, KernelParams(1.0)), X, KernelParams(1.0), q)
+
     def test_all_identical_points_degenerate(self):
         X = np.ones((4, 3))
         with pytest.raises(DegenerateKernelError):

@@ -157,6 +157,18 @@ class TestLossSpec:
             LossSpec("svm_like", c)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: LossSpec("bogus"), "unknown loss kind 'bogus'"),
+    (lambda: FitConfig(variant="bogus", loss=LossSpec("robust_z")),
+     "unknown variant 'bogus'"),
+    (lambda: gen_directions(np.empty((0, 3)), DirectionConfig(), seed=0),
+     "need at least one member row and one feature"),
+])
+def test_bad_argument_named(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 class TestLosses:
     rz = LossSpec("robust_z")
 

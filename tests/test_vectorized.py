@@ -4,6 +4,7 @@ scoring matches the single-pass oracle exactly within one block and to
 rounding across blocks, and the folded transform matches the centered
 one to rounding."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -12,20 +13,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from lkplo import clustering
+from lkplo import clustering, kernel_feature
 from lkplo.clustering import _lloyd_group, _repair_empty, _seed_group, assign_nearest, kmeans_fit
 from lkplo.data import gen_three_gaussians
 from lkplo.kernel_feature import (
-    _ROWS,
     ABS_EIG_FLOOR,
+    BLOCK_BYTES,
     REL_EIG_FLOOR,
     KernelParams,
     _cross_kernel,
     gram_matrix,
+    per_block,
     transform,
 )
 from lkplo.plo import (
-    SCORE_BLOCK_BYTES,
     DegenerateDirectionsError,
     DirectionConfig,
     FitConfig,
@@ -35,6 +36,7 @@ from lkplo.plo import (
     _score_block,
     fit,
     gen_directions,
+    model_to_dict,
     score,
 )
 
@@ -242,7 +244,7 @@ class TestKmeansAtProtocolWidth:
         # 10 restarts run as several groups, and the best one may sit in
         # any of them.
         F = features(seed, 120, 12, 120)
-        monkeypatch.setattr(clustering, "GROUP_BYTES", per_group * 8 * 120 * 12)
+        monkeypatch.setattr(kernel_feature, "BLOCK_BYTES", per_group * 8 * 120 * 12)
         sizes = []
         lloyd_group = clustering._lloyd_group
 
@@ -281,19 +283,23 @@ class TestKernelMatchesReference:
                               oracles.cross_kernel(Y, X, params))
 
 
-    @pytest.mark.parametrize("m", [_ROWS - 1, _ROWS, _ROWS + 1, 2 * _ROWS + 1])
+    @pytest.mark.parametrize("m", [per_block(512) - 1, per_block(512), per_block(512) + 1,
+                                   2 * per_block(512) + 1])
     def test_cross_kernel_across_chunks(self, m):
-        # The squared norms are added chunk by chunk; every chunk, the
-        # short last one included, must give the oracle's doubles.
+        # The squared norms are added chunk by chunk, per_block(512) = 256
+        # rows of the 512 columns at a time; every chunk, the short last
+        # one included, must give the oracle's doubles.
         rng = np.random.default_rng(m)
-        X = rng.standard_normal((60, 3)) * 3.0
+        X = rng.standard_normal((512, 3)) * 3.0
         Y = rng.standard_normal((m, 3)) * 3.0
         params = KernelParams(0.7)
         assert np.array_equal(_cross_kernel(Y, X, params),
                               oracles.cross_kernel(Y, X, params))
 
     def test_gram_symmetric_across_chunks(self):
-        X = np.random.default_rng(4).standard_normal((2 * _ROWS + 1, 3)) * 3.0
+        n = 513  # chunks of 255 + 255 + 3 rows
+        assert n > 2 * per_block(n)
+        X = np.random.default_rng(4).standard_normal((n, 3)) * 3.0
         K = gram_matrix(X, KernelParams(0.7))
         assert np.array_equal(K, K.T)
         assert np.array_equal(K, oracles.gram_matrix(X, KernelParams(0.7)))
@@ -554,4 +560,20 @@ def test_score_memory_is_per_block():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3 * SCORE_BLOCK_BYTES
+    assert peak < 3 * BLOCK_BYTES
+
+
+def test_fit_is_the_same_at_any_block_budget(monkeypatch):
+    # A budget of 8 KiB splits the Gram and its centering into chunks of
+    # two rows and runs the k-means restarts one at a time. Each chunk
+    # and group computes what the whole would, so the model file, which
+    # holds every array score reads, keeps its bytes; the names of the
+    # sections that differ are listed.
+    X = gen_three_gaussians(0).X
+    config = FitConfig(variant="lkplo", loss=LossSpec("svm_like", 2.0),
+                       gamma=0.5, q=10, k=5, seed=3)
+    want = model_to_dict(fit(X, config))
+    monkeypatch.setattr(kernel_feature, "BLOCK_BYTES", 8 << 10)
+    assert per_block(len(X)) == 2 and per_block(len(X) * 10) == 1
+    got = model_to_dict(fit(X, config))
+    assert [key for key in want if json.dumps(got[key]) != json.dumps(want[key])] == []
