@@ -300,18 +300,10 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-# (unit functions, shared counter or None) of the _Units in use, set on
-# entry and cleared on exit. The pool's workers fork at its first submit
-# and inherit it, so the unit functions, which may be closures, are never
-# pickled; a shared counter can only be passed that way too.
-_held = None
-
-
-def _pull(which: int, n_units: int, args: tuple) -> dict:
-    """{i: outcome} of units[which](*args, i) for each index i drawn from
-    the shared counter until none are left, or for every index without
-    one. An outcome is the unit's result or the exception it raised."""
-    units, next_unit = _held
+def _pull(unit: Callable, n_units: int, next_unit) -> dict:
+    """{i: outcome} of unit(i) for each index i drawn from the shared
+    counter next_unit until none are left, or for every index when it is
+    None. An outcome is the unit's result or the exception it raised."""
     outcomes = {}
     while True:
         if next_unit is None:
@@ -323,7 +315,7 @@ def _pull(which: int, n_units: int, args: tuple) -> dict:
         if index >= n_units:
             return outcomes
         try:
-            outcomes[index] = units[which](*args, index)
+            outcomes[index] = unit(index)
         except Exception as exc:  # an outcome like any other; see _raised
             outcomes[index] = exc
 
@@ -335,60 +327,61 @@ def _raised(outcome):
     return outcome
 
 
-class _Units:
-    """Runs maps of independent units across the usable CPUs.
+def _received(worker, receive) -> Optional[dict]:
+    """The outcomes worker sent over receive, or None if it exited
+    without sending them. Read before the join: a worker cannot exit
+    while outcomes larger than the pipe's buffer are unread."""
+    try:
+        return receive.recv()
+    except EOFError:
+        return None
+    finally:
+        worker.join()
+        receive.close()
 
-    The caller and min(max_units, usable CPUs) - 1 workers, forked at
-    the first map, pull the next index of a map from one shared counter
-    until none are left, so a slow unit holds up one process while the
-    others go on. Only the functions given on construction can be mapped:
-    the workers inherit them.
+
+def _map(unit: Callable, n_units: int) -> list:
+    """Outcomes of unit(i) for i in range(n_units), in index order: each
+    unit's result, or the exception it raised (see _raised).
+
+    The caller and min(n_units, usable CPUs) - 1 workers, forked for this
+    map alone, pull the next index from one shared counter until none are
+    left, so a slow unit holds up one process while the others go on.
+    The workers inherit unit, which may be a closure, and each sends its
+    outcomes back over its own pipe. Outcomes are kept by index, so they
+    do not depend on which process ran what.
     """
+    n_workers = min(n_units, _usable_cpus()) - 1
+    counter, workers = None, []
+    if n_workers > 0:
+        # Imported here so that `lkplo score` never loads it.
+        from multiprocessing import get_context
 
-    def __init__(self, max_units: int, *units: Callable):
-        self.units = units
-        self.workers = min(max_units, _usable_cpus())
-
-    def __enter__(self):
-        global _held
-        counter = None
-        if self.workers > 1:
-            # Imported here so that `lkplo score` never loads them.
-            from concurrent.futures import ProcessPoolExecutor
-            from multiprocessing import get_context
-
-            context = get_context("fork")
-            counter = context.Value("i", 0)
-            self.pool = ProcessPoolExecutor(self.workers - 1, mp_context=context)
-        _held = (self.units, counter)  # last: __exit__ runs only if this returns
-        return self
-
-    def __exit__(self, *exc_info):
-        global _held
-        if self.workers > 1:
-            self.pool.shutdown()
-        _held = None
-
-    def map(self, unit: Callable, n_units: int, *args) -> list:
-        """Outcomes of unit(*args, i) for i in range(n_units), in index
-        order: each unit's result, or the exception it raised (see
-        _raised). args go to the workers pickled. Outcomes are kept by
-        index, so they do not depend on which process ran what."""
-        which, pulls = self.units.index(unit), []
-        if self.workers > 1:
-            _held[1].value = 0  # no worker pulls between maps
-            pulls = [self.pool.submit(_pull, which, n_units, args)
-                     for _ in range(self.workers - 1)]
-        outcomes = _pull(which, n_units, args)
-        for pull in pulls:
-            outcomes.update(pull.result())
-        return [outcomes[index] for index in range(n_units)]
+        context = get_context("fork")
+        counter = context.Value("i", 0)
+    try:
+        for _ in range(n_workers):
+            receive, send = context.Pipe(duplex=False)
+            worker = context.Process(
+                target=lambda send=send: send.send(_pull(unit, n_units, counter)))
+            worker.start()
+            send.close()  # before the next fork, so a dead worker shows EOF
+            workers.append((worker, receive))
+        outcomes = _pull(unit, n_units, counter)
+    finally:
+        pulls = [_received(worker, receive) for worker, receive in workers]
+    for (worker, _), pull in zip(workers, pulls):
+        if pull is None:
+            raise RuntimeError(f"a protocol worker exited with code {worker.exitcode} "
+                               "before returning its units")
+        outcomes.update(pull)
+    return [outcomes[index] for index in range(n_units)]
 
 
 def evaluate_method(dataset: Dataset, method: Method,
                     protocol: Protocol = Protocol()) -> ExperimentReport:
     """Run the tuned k-fold protocol in two phases of independent units,
-    each spread over the usable CPUs by _Units.
+    each spread over the usable CPUs by one _map.
 
     Phase A runs the k_folds x n_trials search trials. Each fold's
     search then replays its trials' outcomes, in trial order, through
@@ -413,30 +406,28 @@ def evaluate_method(dataset: Dataset, method: Method,
         fold, t = divmod(unit, n_trials)
         return outer[fold].objective(_trial_params(space, outer[fold].search_seed, t))
 
-    def refit(bests, fold):
+    def refit(fold):
         model, scaler = outer[fold].refit(bests[fold])
         test = folds == fold
         X_test = apply_standardizer(scaler, dataset.X[test])
         return roc_auc(plo_score(model, X_test), dataset.y[test])
 
-    with _Units(protocol.k_folds * n_trials, trial, refit) as units:
-        outcomes = units.map(trial, protocol.k_folds * n_trials)
-        # random_search draws the same params for trial t as the unit did,
-        # so each fold's objective just hands back the next outcome. The
-        # first failing fold stops the searches; the folds below it still
-        # refit, so that a refit error there is raised ahead of it, as
-        # serially.
-        searches, failure = [], None
-        for fold, outer_fold in enumerate(outer):
-            pending = iter(outcomes[fold * n_trials:(fold + 1) * n_trials])
-            try:
-                searches.append(outer_fold.search(
-                    n_trials, lambda params: _raised(next(pending))))
-            except Exception as exc:  # raised after the refits below it
-                failure = exc
-                break
-        aucs = units.map(refit, len(searches), [best for best, _ in searches])
-    aucs = [_raised(auc) for auc in aucs]
+    outcomes = _map(trial, protocol.k_folds * n_trials)
+    # random_search draws the same params for trial t as the unit did, so
+    # each fold's objective just hands back the next outcome. The first
+    # failing fold stops the searches; the folds below it still refit, so
+    # that a refit error there is raised ahead of it, as serially.
+    searches, failure = [], None
+    for fold, outer_fold in enumerate(outer):
+        pending = iter(outcomes[fold * n_trials:(fold + 1) * n_trials])
+        try:
+            searches.append(outer_fold.search(
+                n_trials, lambda params: _raised(next(pending))))
+        except Exception as exc:  # raised after the refits below it
+            failure = exc
+            break
+    bests = [best for best, _ in searches]
+    aucs = [_raised(auc) for auc in _map(refit, len(searches))]
     if failure is not None:
         raise failure
 
@@ -447,7 +438,7 @@ def evaluate_method(dataset: Dataset, method: Method,
         fold_aucs=[float(a) for a in aucs],
         mean=float(aucs_arr.mean()),
         std=float(aucs_arr.std()),
-        fold_params=[best for best, _ in searches],
+        fold_params=bests,
         trial_logs=[trials for _, trials in searches],
     )
 

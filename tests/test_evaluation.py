@@ -1,4 +1,3 @@
-import concurrent.futures
 import multiprocessing
 import os
 import time
@@ -373,8 +372,7 @@ def set_usable_cpus(monkeypatch, n):
 
 
 def map_units(unit, n_units):
-    with evaluation._Units(n_units, unit) as units:
-        return [evaluation._raised(outcome) for outcome in units.map(unit, n_units)]
+    return [evaluation._raised(outcome) for outcome in evaluation._map(unit, n_units)]
 
 
 def split_units(monkeypatch, body):
@@ -441,8 +439,7 @@ class TestFoldsAcrossCpus:
             return i
 
         unit = split_units(monkeypatch, body)
-        with evaluation._Units(12, unit) as units:
-            outcomes = units.map(unit, 12)
+        outcomes = evaluation._map(unit, 12)
         failed = [i for i, outcome in enumerate(outcomes) if isinstance(outcome, KeyError)]
         assert failed in ([0, 11], [1, 11])
         assert [outcomes[i].args for i in failed] == [(f"unit {i}",) for i in failed]
@@ -452,25 +449,49 @@ class TestFoldsAcrossCpus:
         with pytest.raises(KeyError, match=rf"^'unit {failed[0]}'$"):
             [evaluation._raised(outcome) for outcome in outcomes]
 
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_units_released_when_evaluate_method_returns_or_raises(self, monkeypatch, cpus):
-        # The caller keeps no protocol's folds alive through the global
-        # the workers inherit.
+    def test_outcomes_larger_than_a_pipe_buffer(self, monkeypatch):
+        # The caller reads each worker's outcomes before it joins it.
+        unit = split_units(monkeypatch, lambda i, in_worker: (in_worker, bytes(1 << 20)))
+        results = map_units(unit, 4)
+        assert any(in_worker for in_worker, _ in results)
+        assert [len(payload) for _, payload in results] == [1 << 20] * 4
+
+    def test_worker_that_dies_is_named(self, monkeypatch):
+        def body(i, in_worker):
+            if in_worker:
+                os._exit(3)
+            return i
+
+        unit = split_units(monkeypatch, body)
+        with pytest.raises(RuntimeError, match="exited with code 3 before returning"):
+            evaluation._map(unit, 12)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_no_process_left_running(self, monkeypatch, cpus):
         set_usable_cpus(monkeypatch, cpus)
         ds, method, protocol = label_coded_dataset(15), METHODS["plo"](), Protocol(n_trials=2)
-        held = []
-
-        def score(X):
-            held.append(evaluation._held is not None)
-            return X[:, 0]
-
-        stub_detector(monkeypatch, score)
+        stub_detector(monkeypatch, lambda X: X[:, 0])
         evaluate_method(ds, method, protocol)
-        assert evaluation._held is None and held and all(held)
+        assert multiprocessing.active_children() == []
         stub_detector(monkeypatch, lambda X: X[:, "0"])
         with pytest.raises(IndexError):
             evaluate_method(ds, method, protocol)
-        assert evaluation._held is None
+        assert multiprocessing.active_children() == []
+
+        # No outcome holds a KeyboardInterrupt: it leaves the caller's
+        # pull, and _map raises it once the workers, still sleeping
+        # through their units, are joined.
+        caller = os.getpid()
+
+        def unit(i):
+            if os.getpid() == caller:
+                raise KeyboardInterrupt
+            time.sleep(0.2)
+
+        with pytest.raises(KeyboardInterrupt):
+            evaluation._map(unit, 4)
+        assert multiprocessing.active_children() == []
 
     def test_each_unit_runs_once_per_map_with_more_workers_than_cores(self, monkeypatch):
         set_usable_cpus(monkeypatch, 2 * len(os.sched_getaffinity(0)))
@@ -482,9 +503,8 @@ class TestFoldsAcrossCpus:
                 runs[i] += 1
             return i
 
-        with evaluation._Units(n, unit) as units:
-            for _ in range(3):
-                assert units.map(unit, n) == list(range(n))
+        for _ in range(3):
+            assert evaluation._map(unit, n) == list(range(n))
         assert list(runs) == [3] * n
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
@@ -530,17 +550,16 @@ class TestFoldsAcrossCpus:
             evaluate_method(ds, method, protocol)
 
     def test_one_cpu_starts_no_process(self, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a process pool was created")
+        def no_fork(*args, **kwargs):
+            raise AssertionError("a process was started")
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
         stub_detector(monkeypatch, lambda X: X[:, 0])
         ds, method = label_coded_dataset(11), METHODS["plo"]()
         protocol = Protocol(n_trials=1)
         set_usable_cpus(monkeypatch, 2)
-        with pytest.raises(AssertionError, match="a process pool was created"):
+        with pytest.raises(AssertionError, match="a process was started"):
             evaluate_method(ds, method, protocol)
-        assert evaluation._held is None
         set_usable_cpus(monkeypatch, 1)
         assert evaluate_method(ds, method, protocol).mean == pytest.approx(1.0)
 
