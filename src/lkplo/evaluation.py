@@ -11,7 +11,6 @@ model is fit on, never of the evaluated rows.
 
 import json
 import math
-import os
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
@@ -19,6 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .data import Dataset, apply_standardizer, fit_standardizer
+from .kernel_feature import usable_cpus
 from .plo import FitConfig, LossSpec, _derive_seed, fit as plo_fit, score as plo_score
 
 # The tuning split is one of this many stratified inner folds of the
@@ -288,16 +288,17 @@ class _OuterFold:
 
 
 def _usable_cpus() -> int:
-    """CPUs this process may run on: the size of its affinity mask where
-    the OS has one (Linux, where fork is safe), else 1. A daemonic
-    process may not have children, so there it is 1 too."""
-    if not hasattr(os, "sched_getaffinity"):
+    """usable_cpus(), or 1 in a daemonic process, which may not have
+    children. Fork is safe where the OS has an affinity call (Linux);
+    elsewhere usable_cpus() is 1."""
+    cpus = usable_cpus()
+    if cpus == 1:
         return 1
     import multiprocessing
 
     if multiprocessing.current_process().daemon:
         return 1
-    return len(os.sched_getaffinity(0))
+    return cpus
 
 
 def _pull(unit: Callable, n_units: int, next_unit) -> dict:

@@ -16,6 +16,7 @@ so a batch of new points costs one product and one fixed offset, with
 no centered copy of its kernel rows and no pass for their means.
 """
 
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -81,6 +82,14 @@ def per_block(width: int) -> int:
     return max(1, BLOCK_BYTES // (8 * max(width, 1)))
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: the size of its affinity mask, or 1
+    where the OS has no affinity call."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
 def _check_finite(X, what):
     """Raise a ValueError naming the first row of X with a NaN or inf."""
     bad = ~np.isfinite(X).all(axis=1)
@@ -95,7 +104,10 @@ def _cross_kernel(X, Y, params: KernelParams) -> np.ndarray:
     The squared norms x_i^2 + y_j^2 come from the rank-2 product
     [x^2, 1] @ [1; y^2], whose entries x_i^2 * 1 + 1 * y_j^2 are exact
     products summed with one rounding: the same doubles as the broadcast
-    sum, with or without FMA, from one BLAS call per chunk.
+    sum, with or without FMA, from one BLAS call per chunk. A chunk is
+    an eighth of a score block, per_block(8 * len(Y)) rows, so that the
+    product's temporary adds little to each scoring thread's block; the
+    add is elementwise, so the chunking changes no value.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -105,7 +117,7 @@ def _cross_kernel(X, Y, params: KernelParams) -> np.ndarray:
     right[1] = (Y * Y).sum(axis=1)
     K = X @ Y.T
     K *= -2.0
-    rows = per_block(len(Y))
+    rows = per_block(8 * len(Y))
     for s in range(0, len(K), rows):
         K[s:s + rows] += left[s:s + rows] @ right
     np.clip(K, 0.0, None, out=K)

@@ -9,15 +9,17 @@ import pytest
 
 import lkplo
 from lkplo.cli import main
-from lkplo.data import gen_three_gaussians, load_csv, save_csv
+from lkplo.data import Dataset, gen_three_gaussians, load_csv, save_csv
 from lkplo.plo import (
     DirectionConfig,
     FitConfig,
     LossSpec,
+    _block_rows,
     fit,
     load_model,
     score,
 )
+from test_evaluation import set_usable_cpus
 
 
 @pytest.fixture
@@ -146,6 +148,26 @@ class TestScoreCommand:
         got = np.array([float(ln.split(",")[1]) for ln in lines[1:]])
         np.testing.assert_array_equal(got, expect)
         assert np.all(got >= 0) and np.all(np.isfinite(got))
+
+    def test_same_bytes_at_any_cpu_count(self, tmp_path, train_csv, monkeypatch):
+        # 7B + 3 rows: eight score blocks, on one thread or on three.
+        model_path = tmp_path / "m.json"
+        assert run("fit", "--data", train_csv, "--out", model_path,
+                   "--variant", "lkplo", "--gamma", "0.5", "--q", "12",
+                   "--k", "5", "--seed", "4") == 0
+        m = 7 * _block_rows(load_model(model_path)) + 3
+        rows = np.random.default_rng(5).uniform(-4.0, 9.0, size=(m, 2))
+        data_path = tmp_path / "rows.csv"
+        save_csv(Dataset("rows", rows, np.zeros(m, dtype=int)), data_path)
+        written = []
+        for cpus in (1, 3):
+            set_usable_cpus(monkeypatch, cpus)
+            out = tmp_path / f"scores{cpus}.csv"
+            assert run("score", "--model", model_path, "--data", data_path,
+                       "--out", out) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+        assert written[0].count(b"\n") == m + 1
 
     def test_dimension_mismatch_fails(self, tmp_path, train_csv, capsys):
         model_path = tmp_path / "m.json"

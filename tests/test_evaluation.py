@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+import signal
 import time
 
 import numpy as np
@@ -371,6 +372,30 @@ def set_usable_cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
+DEADLINE_S = 60
+
+
+@pytest.fixture
+def deadline(request):
+    """Fail the test by name after DEADLINE_S seconds instead of letting a
+    caller blocked on a worker's pipe or exit hang the run: the alarm
+    kills every child process and fails the test in the caller. pytest's
+    Failed is a BaseException, so no `except OSError` in multiprocessing
+    or `except Exception` in _pull can swallow it."""
+    def expire(signum, frame):
+        for child in multiprocessing.active_children():
+            child.kill()
+        pytest.fail(f"{request.node.name} passed its {DEADLINE_S} s deadline")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(DEADLINE_S)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def map_units(unit, n_units):
     return [evaluation._raised(outcome) for outcome in evaluation._map(unit, n_units)]
 
@@ -449,14 +474,14 @@ class TestFoldsAcrossCpus:
         with pytest.raises(KeyError, match=rf"^'unit {failed[0]}'$"):
             [evaluation._raised(outcome) for outcome in outcomes]
 
-    def test_outcomes_larger_than_a_pipe_buffer(self, monkeypatch):
+    def test_outcomes_larger_than_a_pipe_buffer(self, monkeypatch, deadline):
         # The caller reads each worker's outcomes before it joins it.
         unit = split_units(monkeypatch, lambda i, in_worker: (in_worker, bytes(1 << 20)))
         results = map_units(unit, 4)
         assert any(in_worker for in_worker, _ in results)
         assert [len(payload) for _, payload in results] == [1 << 20] * 4
 
-    def test_worker_that_dies_is_named(self, monkeypatch):
+    def test_worker_that_dies_is_named(self, monkeypatch, deadline):
         def body(i, in_worker):
             if in_worker:
                 os._exit(3)

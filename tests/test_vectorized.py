@@ -5,6 +5,10 @@ rounding across blocks, and the folded transform matches the centered
 one to rounding."""
 
 import json
+import os
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -13,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from lkplo import clustering, kernel_feature
+from lkplo import clustering, kernel_feature, plo
 from lkplo.clustering import _lloyd_group, _repair_empty, _seed_group, assign_nearest, kmeans_fit
 from lkplo.data import gen_three_gaussians
 from lkplo.kernel_feature import (
@@ -39,6 +43,7 @@ from lkplo.plo import (
     model_to_dict,
     score,
 )
+from test_evaluation import set_usable_cpus
 
 
 def features(seed, n, q, n_distinct):
@@ -286,9 +291,9 @@ class TestKernelMatchesReference:
     @pytest.mark.parametrize("m", [per_block(512) - 1, per_block(512), per_block(512) + 1,
                                    2 * per_block(512) + 1])
     def test_cross_kernel_across_chunks(self, m):
-        # The squared norms are added chunk by chunk, per_block(512) = 256
-        # rows of the 512 columns at a time; every chunk, the short last
-        # one included, must give the oracle's doubles.
+        # The squared norms are added chunk by chunk, per_block(8 * 512)
+        # = 32 rows of the 512 columns at a time; every chunk, the short
+        # last one included, must give the oracle's doubles.
         rng = np.random.default_rng(m)
         X = rng.standard_normal((512, 3)) * 3.0
         Y = rng.standard_normal((m, 3)) * 3.0
@@ -297,7 +302,7 @@ class TestKernelMatchesReference:
                               oracles.cross_kernel(Y, X, params))
 
     def test_gram_symmetric_across_chunks(self):
-        n = 513  # chunks of 255 + 255 + 3 rows
+        n = 513  # norm-term chunks of 16 x 31 + 17 rows
         assert n > 2 * per_block(n)
         X = np.random.default_rng(4).standard_normal((n, 3)) * 3.0
         K = gram_matrix(X, KernelParams(0.7))
@@ -528,12 +533,17 @@ class TestBlockedScore:
         np.testing.assert_allclose(score(model, X), oracles.score(model, X),
                                    rtol=1e-12, atol=0)
 
-    def test_score_concatenates_the_blocks(self, model):
+    def test_score_concatenates_the_blocks(self, model, monkeypatch):
+        # A block computes the same doubles on any thread, so the scores
+        # are a serial loop's at any CPU count.
         b = _block_rows(model)
-        X = self.rows(2 * b + 5, seed=2)
-        want = np.concatenate([_score_block(model, X[s:s + b])
-                               for s in range(0, len(X), b)])
-        assert np.array_equal(score(model, X), want)
+        for m in (1, b, b + 1, 7 * b + 3):
+            X = self.rows(m, seed=2)
+            want = np.concatenate([_score_block(model, X[s:s + b])
+                                   for s in range(0, len(X), b)])
+            for cpus in (1, 2, 3):
+                set_usable_cpus(monkeypatch, cpus)
+                assert np.array_equal(score(model, X), want), (m, cpus)
 
     def test_non_finite_row_anywhere_in_the_batch_is_named(self, model):
         X = self.rows(2 * _block_rows(model) + 5)
@@ -542,11 +552,124 @@ class TestBlockedScore:
             score(model, X)
 
 
-def test_score_memory_is_per_block():
+class TestScoreThreads:
+    """score's blocks run on min(blocks, usable CPUs) threads, the
+    caller being one; these stub _score_block to see which blocks ran."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return fit(gen_three_gaussians(3).X, FitConfig(variant="plo", loss=LossSpec("robust_z")))
+
+    @staticmethod
+    def stub_blocks(monkeypatch, b, block):
+        """Replace _score_block by block(i) for the block with index i
+        of a batch from rows(); returns the started indices."""
+        started = []
+
+        def score_block(model, X):
+            i = int(X[0, 0]) // b
+            started.append(i)
+            block(i)
+            return X[:, 0]
+
+        monkeypatch.setattr(plo, "_score_block", score_block)
+        return started
+
+    @staticmethod
+    def rows(n):
+        return np.column_stack([np.arange(n, dtype=float), np.zeros(n)])
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_lowest_failing_block_is_raised(self, model, monkeypatch, cpus):
+        # Block 5 fails at once and block 2 only after a pause, so with
+        # threads both fail and block 2's error must win over the first
+        # one recorded.
+        def block(i):
+            if i == 2:
+                time.sleep(0.2)
+            if i in (2, 5):
+                raise ValueError(f"block {i}")
+
+        set_usable_cpus(monkeypatch, cpus)
+        b = _block_rows(model)
+        self.stub_blocks(monkeypatch, b, block)
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match="^block 2$"):
+            score(model, self.rows(9 * b))
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_no_block_starts_after_a_failure(self, model, monkeypatch, cpus):
+        # Blocks 0 and 1 are still running when block 2 fails.
+        def block(i):
+            if i == 2:
+                raise ValueError("block 2")
+            time.sleep(0.1)
+
+        set_usable_cpus(monkeypatch, cpus)
+        b = _block_rows(model)
+        started = self.stub_blocks(monkeypatch, b, block)
+        with pytest.raises(ValueError, match="^block 2$"):
+            score(model, self.rows(9 * b))
+        assert sorted(started) == [0, 1, 2]
+
+    def test_interrupt_in_the_caller_joins_the_threads(self, model, monkeypatch):
+        # The caller's first block raises at once; the thread's block, if
+        # it took one, sleeps through the interrupt and is joined.
+        def block(i):
+            if threading.current_thread() is threading.main_thread():
+                raise KeyboardInterrupt
+            time.sleep(0.1)
+
+        set_usable_cpus(monkeypatch, 2)
+        b = _block_rows(model)
+        started = self.stub_blocks(monkeypatch, b, block)
+        threads = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            score(model, self.rows(9 * b))
+        assert threading.active_count() == threads
+        assert len(started) <= 2
+
+    def test_each_block_runs_once_with_more_threads_than_cores(self, model, monkeypatch):
+        # A short switch interval makes a lost or repeated hand-out of a
+        # block start likely if the iterator were read without the lock.
+        set_usable_cpus(monkeypatch, 4 * len(os.sched_getaffinity(0)))
+        b = _block_rows(model)
+        started = self.stub_blocks(monkeypatch, b, lambda i: None)
+        n = 400
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = score(model, self.rows(n * b))
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(started) == list(range(n))
+        assert np.array_equal(got, np.arange(n * b))
+
+    def test_one_cpu_or_one_block_starts_no_thread(self, model, monkeypatch):
+        def no_start(thread):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", no_start)
+        b = _block_rows(model)
+        X = self.rows(9 * b)
+        set_usable_cpus(monkeypatch, 1)
+        assert np.array_equal(score(model, X), np.concatenate(
+            [_score_block(model, X[s:s + b]) for s in range(0, len(X), b)]))
+        set_usable_cpus(monkeypatch, 3)
+        assert np.array_equal(score(model, X[:b]), _score_block(model, X[:b]))
+        threads = threading.active_count()
+        with pytest.raises(AssertionError, match="a thread was started"):
+            score(model, X[:b + 1])
+        assert threading.active_count() == threads
+
+
+def test_score_memory_is_per_block(monkeypatch):
     # numpy reports its buffers to tracemalloc. A single pass over 20k
     # rows at N = 480 allocates several 77 MB (M, N) temporaries; blocked
-    # scoring holds one (B, N) kernel block and smaller ones plus the
-    # output (about 2.3 blocks), so a second (B, N) temporary fails here.
+    # scoring holds one (B, N) kernel block and smaller ones per thread
+    # plus the output (about 1.3 blocks on one thread, 2.4 on two), so a
+    # second (B, N) temporary per thread fails here.
     ds = gen_three_gaussians(0)
     q = 20
     model = fit(ds.X, FitConfig(variant="lkplo", loss=LossSpec("svm_like", 2.0),
@@ -554,13 +677,15 @@ def test_score_memory_is_per_block():
     assert len(ds.X) >= 400
     m = 20_000
     X = np.random.default_rng(0).uniform(-4.0, 9.0, size=(m, 2))
-    tracemalloc.start()
-    try:
-        score(model, X)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 3 * BLOCK_BYTES
+    for cpus, bound in ((1, 1.5), (2, 3)):
+        set_usable_cpus(monkeypatch, cpus)
+        tracemalloc.start()
+        try:
+            score(model, X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * BLOCK_BYTES, cpus
 
 
 def test_fit_is_the_same_at_any_block_budget(monkeypatch):
