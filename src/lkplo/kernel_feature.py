@@ -69,9 +69,8 @@ class KpcaModel:
     def projection(self):
         """(A_c, (r - t 1)^T A) with A = V / sqrt(lambda) and
         A_c = A - 1 (1^T A) / N: what transform multiplies and subtracts.
-        Derived on first use rather than at construction, so that a model
-        read from a file is checked before any arithmetic runs on it, and
-        never written to the file."""
+        Derived from the stored fields on first use, so it is never
+        written to the model file."""
         A = self.eigenvectors / np.sqrt(self.eigenvalues)
         offset = (self.gram_row_means - self.gram_total_mean) @ A
         return A - A.sum(axis=0) / len(A), offset

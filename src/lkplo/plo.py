@@ -367,98 +367,86 @@ def model_to_dict(model: LkploModel) -> dict:
     return d
 
 
-def _check_array(field, a, shape):
-    """Raise a ValueError naming field unless a has shape (an entry of
-    None matches any length) and only finite values."""
-    if a.ndim != len(shape) or any(
-        want is not None and got != want for got, want in zip(a.shape, shape)
-    ):
+def _array(field, value, shape=()):
+    """value as a finite float array of shape (an entry of None matches
+    any length), or a float when shape is (); else a ValueError naming
+    field. Strings and bools are refused, which dtype=float would read."""
+    try:
+        a = np.asarray(value)
+    except (TypeError, ValueError):  # ragged nesting
+        a = np.asarray(None)
+    if a.dtype.kind not in "iuf":
+        raise ValueError(f"model field {field} is not a number or a regular array")
+    if a.ndim != len(shape) or not all(w in (None, g) for g, w in zip(a.shape, shape)):
         want = str(shape).replace("None", "*")
         raise ValueError(f"model field {field} has shape {a.shape}, expected {want}")
     if not np.isfinite(a).all():
         raise ValueError(f"model field {field} has a non-finite value")
+    return a.astype(float, copy=False) if shape else float(a)
 
 
-def _finite(field, value):
-    """value, unless it is a non-finite number (json.load reads NaN and
-    Infinity); then a ValueError naming field."""
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ValueError(f"model field {field} is {value}")
+def _count(field, value) -> int:
+    """value if it is an int >= 1, not a bool or a float; else a
+    ValueError naming field."""
+    if type(value) is not int or value < 1:
+        raise ValueError(f"model field {field} is {value!r}, expected an int >= 1")
     return value
 
 
-def _check_model(model: LkploModel, k: int):
-    """Check the variant, and every array score reads against d, q and
-    the stored cluster count k, so a malformed model file fails at load,
-    not halfway through a score batch. Fields are named by their path in
-    the file."""
-    if model.variant not in VARIANTS:
-        raise ValueError(f"model field variant is {model.variant!r}, "
+def model_from_dict(d) -> LkploModel:
+    """The model a model_to_dict dict describes. Each field is checked as
+    it is read, against the sizes read before it, so a malformed file
+    fails at load, not halfway through a score batch, with an error that
+    names the first bad field by its path in the file."""
+    tag = d.get("format") if isinstance(d, dict) else f"<a JSON {type(d).__name__}>"
+    if tag != MODEL_FORMAT:
+        raise ValueError(f"unsupported model format {tag!r}")
+    variant, kd = d["variant"], d["kpca"]
+    if variant not in VARIANTS:
+        raise ValueError(f"model field variant is {variant!r}, "
                          f"expected one of {VARIANTS}")
-    if (model.kpca is None) != (model.variant == "plo"):
-        state = "null" if model.kpca is None else "set"
-        raise ValueError(f"model field kpca is {state} for variant {model.variant!r}")
-    q = model.d
-    if model.kpca is not None:
-        kpca = model.kpca
-        _check_array("kpca.train_points", kpca.train_points, (None, model.d))
-        n = len(kpca.train_points)
-        q = kpca.q
-        _check_array("kpca.eigenvectors", kpca.eigenvectors, (n, q))
-        _check_array("kpca.eigenvalues", kpca.eigenvalues, (q,))
-        if not np.all(kpca.eigenvalues > 0):
-            raise ValueError("model field kpca.eigenvalues has a value <= 0")
-        _check_array("kpca.gram_row_means", kpca.gram_row_means, (n,))
-    _check_array("clusters.centroids", model.centroids, (k, q))
-    _check_array("clusters.sizes", model.sizes, (k,))
-    if not np.all(model.sizes >= 1):
-        raise ValueError("model field clusters.sizes has a value < 1")
-    if not np.all(model.sizes == np.round(model.sizes)):
-        raise ValueError("model field clusters.sizes has a non-integer value")
-    if len(model.directions) != k:
-        raise ValueError(
-            f"model field per_cluster has {len(model.directions)} entries, expected {k}"
-        )
-    per_cluster = zip(model.directions, model.medians, model.mads)
-    for j, (u, medians, mads) in enumerate(per_cluster):
-        _check_array(f"per_cluster[{j}].directions", u, (None, q))
-        n_dir = len(u)
-        _check_array(f"per_cluster[{j}].medians", medians, (n_dir,))
-        _check_array(f"per_cluster[{j}].mads", mads, (n_dir,))
-
-
-def model_from_dict(d: dict) -> LkploModel:
-    if d.get("format") != MODEL_FORMAT:
-        raise ValueError(f"unsupported model format {d.get('format')!r}")
+    if (kd is None) != (variant == "plo"):
+        state = "null" if kd is None else "set"
+        raise ValueError(f"model field kpca is {state} for variant {variant!r}")
+    c = d["loss"]["c"]
+    loss = LossSpec(d["loss"]["kind"], None if c is None else _array("loss.c", c))
+    q = dim = _count("d", d["d"])
     kpca = None
-    if d["kpca"] is not None:
-        kd = d["kpca"]
+    if kd is not None:
+        train_points = _array("kpca.train_points", kd["train_points"], (None, dim))
+        n = len(train_points)
+        q = _count("kpca.q", kd["q"])
+        eigenvalues = _array("kpca.eigenvalues", kd["eigenvalues"], (q,))
+        if not np.all(eigenvalues > 0):
+            raise ValueError("model field kpca.eigenvalues has a value <= 0")
         kpca = KpcaModel(
-            train_points=np.asarray(kd["train_points"], dtype=float),
-            params=KernelParams(_finite("kpca.gamma", kd["gamma"])),
-            q=_finite("kpca.q", kd["q"]),
-            eigenvalues=np.asarray(kd["eigenvalues"], dtype=float),
-            eigenvectors=np.asarray(kd["eigenvectors"], dtype=float),
-            gram_row_means=np.asarray(kd["gram_row_means"], dtype=float),
-            gram_total_mean=_finite("kpca.gram_total_mean", kd["gram_total_mean"]),
+            train_points=train_points,
+            params=KernelParams(_array("kpca.gamma", kd["gamma"])),
+            q=q,
+            eigenvalues=eigenvalues,
+            eigenvectors=_array("kpca.eigenvectors", kd["eigenvectors"], (n, q)),
+            gram_row_means=_array("kpca.gram_row_means", kd["gram_row_means"], (n,)),
+            gram_total_mean=_array("kpca.gram_total_mean", kd["gram_total_mean"]),
         )
-    cd = d["clusters"]
-    model = LkploModel(
-        variant=d["variant"],
-        kpca=kpca,
-        loss=LossSpec(kind=d["loss"]["kind"], c=_finite("loss.c", d["loss"]["c"])),
-        centroids=np.asarray(cd["centroids"], dtype=float),
-        # Read as floats, so that a fractional size fails the check
-        # rather than being truncated.
-        sizes=np.asarray(cd["sizes"], dtype=float),
-        directions=[np.asarray(e["directions"], dtype=float) for e in d["per_cluster"]],
-        medians=[np.asarray(e["medians"], dtype=float) for e in d["per_cluster"]],
-        mads=[np.asarray(e["mads"], dtype=float) for e in d["per_cluster"]],
-        d=_finite("d", d["d"]),
-    )
-    _check_model(model, _finite("clusters.k", cd["k"]))
-    model.sizes = model.sizes.astype(int)
-    return model
+    k = _count("clusters.k", d["clusters"]["k"])
+    centroids = _array("clusters.centroids", d["clusters"]["centroids"], (k, q))
+    # The weight is 1 / N_k, and float64 holds every integer up to 2**53.
+    sizes = _array("clusters.sizes", d["clusters"]["sizes"], (k,))
+    if not np.all((sizes >= 1) & (sizes <= 2**53) & (sizes == np.round(sizes))):
+        raise ValueError("model field clusters.sizes has a value that is not "
+                         "a whole number in [1, 2**53]")
+    entries = d["per_cluster"]
+    if len(entries) != k:
+        raise ValueError(f"model field per_cluster has {len(entries)} entries, "
+                         f"expected {k}")
+    directions, medians, mads = [], [], []
+    for j, entry in enumerate(entries):
+        u = _array(f"per_cluster[{j}].directions", entry["directions"], (None, q))
+        directions.append(u)
+        medians.append(_array(f"per_cluster[{j}].medians", entry["medians"], (len(u),)))
+        mads.append(_array(f"per_cluster[{j}].mads", entry["mads"], (len(u),)))
+    return LkploModel(variant, kpca, loss, centroids, sizes.astype(int),
+                      directions, medians, mads, dim)
 
 
 def save_model(model: LkploModel, path):

@@ -17,6 +17,7 @@ from lkplo.plo import (
     _block_rows,
     fit,
     load_model,
+    model_to_dict,
     score,
 )
 from test_evaluation import set_usable_cpus
@@ -35,11 +36,13 @@ def run(*argv):
 
 
 def child_env(**extra):
-    """This process's environment with src/ on PYTHONPATH and extra set,
-    for a child process; this process's own environment is not touched."""
+    """This process's environment with src/ on PYTHONPATH, warnings raised
+    as errors (as filterwarnings does in this process) and extra set, for
+    a child process; this process's own environment is not touched."""
     src = str(Path(lkplo.__file__).resolve().parents[1])
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p), **extra)
+        p for p in (src, os.environ.get("PYTHONPATH")) if p),
+        PYTHONWARNINGS="error", **extra)
 
 
 class TestFitCommand:
@@ -213,6 +216,21 @@ class TestScoreCommand:
                  "--out", tmp_path / "s.csv")
         assert rc == 1
         assert "unsupported model format 'lkplo-model-v1'" in capsys.readouterr().err
+
+    def test_cluster_size_beyond_exact_floats_rejected(self, tmp_path, capsys):
+        # Read as an int, a size of 1e300 wraps to -2**63 and scores the
+        # cluster's rows below zero.
+        X = np.random.default_rng(21).standard_normal((30, 2))
+        cfg = FitConfig("lkplo", LossSpec("svm_like", 2.0), gamma=0.5, q=4, k=3, seed=2)
+        d = model_to_dict(fit(X, cfg))
+        d["clusters"]["sizes"][0] = 1e300
+        model_path, data_path = tmp_path / "m.json", tmp_path / "rows.csv"
+        model_path.write_text(json.dumps(d))
+        save_csv(Dataset("rows", X, np.zeros(len(X), dtype=int)), data_path)
+        out = tmp_path / "s.csv"
+        assert run("score", "--model", model_path, "--data", data_path, "--out", out) == 1
+        assert "model field clusters.sizes " in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestBenchmarkCommand:

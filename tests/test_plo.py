@@ -486,6 +486,8 @@ class TestSerialization:
             d["format"] = tag
             with pytest.raises(ValueError, match=f"unsupported model format '{tag}'"):
                 model_from_dict(d)
+        with pytest.raises(ValueError, match="unsupported model format"):
+            model_from_dict([])
 
 
 def _drop_last(key):
@@ -529,6 +531,17 @@ CORRUPTIONS = [
     ("kpca", lambda d: d.update(kpca=None)),
     ("kpca", lambda d: d.update(variant="plo")),
     ("clusters.sizes", lambda d: d["clusters"]["sizes"].__setitem__(0, 2.5)),
+    # As an int, 1e300 wraps to -2**63 and every score of the cluster
+    # comes out negative.
+    ("clusters.sizes", lambda d: d["clusters"]["sizes"].__setitem__(0, 1e300)),
+    # Counts are ints, named by their own field rather than by the first
+    # array whose shape they set.
+    ("clusters.k", lambda d: d["clusters"].update(k="3")),
+    ("kpca.q", lambda d: d["kpca"].update(q=2.5)),
+    ("kpca.q", lambda d: d["kpca"].update(q=4.0)),
+    ("d", lambda d: d.update(d=True)),
+    ("clusters.centroids", lambda d: d["clusters"]["centroids"][0].append(0.0)),
+    ("kpca.gamma", lambda d: d["kpca"].update(gamma="0.5")),
 ]
 
 
