@@ -55,11 +55,8 @@ def cmd_fit(args):
     model = plo_mod.fit(dataset.X, config)
     plo_mod.save_model(model, args.out)
     n_dirs = sum(len(u) for u in model.directions)
-    q = model.kpca.q if model.kpca is not None else model.d
-    print(
-        f"fit variant={model.variant} q={q} k={len(model.centroids)} "
-        f"directions={n_dirs} -> {args.out}"
-    )
+    k, q = model.centroids.shape
+    print(f"fit variant={model.variant} q={q} k={k} directions={n_dirs} -> {args.out}")
     return 0
 
 

@@ -13,12 +13,12 @@ mean(k(x)) = k(x) 1 / N folds the middle term into A itself:
     f(x) = k(x) A_c - (r - t 1)^T A,    A_c = A - 1 (1^T A) / N,
 
 so a batch of new points costs one product and one fixed offset, with
-no centered copy of its kernel rows and no pass for their means.
+no centered copy of its kernel rows and no pass for their means. The
+fit computes A_c and the offset once, and the model keeps only them.
 """
 
 import os
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -57,23 +57,8 @@ class KpcaModel:
     params: KernelParams
     q: int                        # retained component count (<= rank)
     eigenvalues: np.ndarray       # (q,), strictly positive, non-increasing
-    eigenvectors: np.ndarray      # (N, q), orthonormal columns
-    gram_row_means: np.ndarray    # (N,)
-    gram_total_mean: float
-
-    def train_features(self) -> np.ndarray:
-        """Training rows in feature space: f_i^(j) = sqrt(lambda_j) v_ij."""
-        return self.eigenvectors * np.sqrt(self.eigenvalues)
-
-    @cached_property
-    def projection(self):
-        """(A_c, (r - t 1)^T A) with A = V / sqrt(lambda) and
-        A_c = A - 1 (1^T A) / N: what transform multiplies and subtracts.
-        Derived from the stored fields on first use, so it is never
-        written to the model file."""
-        A = self.eigenvectors / np.sqrt(self.eigenvalues)
-        offset = (self.gram_row_means - self.gram_total_mean) @ A
-        return A - A.sum(axis=0) / len(A), offset
+    projection: np.ndarray        # (N, q), A_c
+    offset: np.ndarray            # (q,), (r - t 1)^T A
 
 
 def per_block(width: int) -> int:
@@ -148,7 +133,7 @@ def center_gram(K):
     return row_means, total_mean
 
 
-def fit_kpca(X, params: KernelParams, q_requested: int) -> KpcaModel:
+def fit_kpca(X, params: KernelParams, q_requested: int):
     """Fit the RBF kernel feature map on the rows of X; see kpca_from_gram."""
     X = np.asarray(X, dtype=float)
     _check_finite(X, "training")
@@ -181,9 +166,10 @@ def _lanczos(K, top):
         return None
 
 
-def kpca_from_gram(K, X, params: KernelParams, q_requested: int) -> KpcaModel:
+def kpca_from_gram(K, X, params: KernelParams, q_requested: int):
     """The kernel feature map of the training rows X from their Gram
-    matrix K, keeping min(q_requested, rank) components.
+    matrix K, keeping min(q_requested, rank) components, and the
+    training rows' features: (KpcaModel, F) with F = V sqrt(lambda).
 
     q_requested beyond the usable rank silently clamps so hyperparameter
     search never aborts on small inputs. Raises DegenerateKernelError when
@@ -215,7 +201,7 @@ def kpca_from_gram(K, X, params: KernelParams, q_requested: int) -> KpcaModel:
         # Imported here so that loading and scoring a model never loads scipy.
         from scipy.linalg import eigh
 
-        # dsyevr computes eigenvectors only for the top subset, in K
+        # dsyevr computes the eigenpairs of the top subset only, in K
         # itself: K is exactly symmetric, so K.T is the same matrix in the
         # column-major order LAPACK works in. It destroys only the
         # triangle it reads, diagonal included (K's upper one), so a
@@ -255,15 +241,11 @@ def kpca_from_gram(K, X, params: KernelParams, q_requested: int) -> KpcaModel:
         if col[np.argmax(np.abs(col))] < 0:
             eigvecs[:, j] = -col
 
-    return KpcaModel(
-        train_points=X.copy(),
-        params=params,
-        q=q,
-        eigenvalues=eigvals,
-        eigenvectors=eigvecs,
-        gram_row_means=row_means,
-        gram_total_mean=total_mean,
-    )
+    A = eigvecs / np.sqrt(eigvals)
+    offset = (row_means - total_mean) @ A
+    model = KpcaModel(train_points=X.copy(), params=params, q=q, eigenvalues=eigvals,
+                      projection=A - A.sum(axis=0) / len(A), offset=offset)
+    return model, eigvecs * np.sqrt(eigvals)
 
 
 def transform(model: KpcaModel, Xnew) -> np.ndarray:
@@ -273,11 +255,12 @@ def transform(model: KpcaModel, Xnew) -> np.ndarray:
     kbar(x, x_i) = k(x, x_i) - mean_i'(k(x, x_i')) - r_i + t, and the
     centered row is projected onto A = V / sqrt(lambda). Both steps are
     folded into k(x) A_c - (r - t 1)^T A with A_c = A - 1 (1^T A) / N,
-    since mean(k(x)) (1^T A) = k(x) 1 (1^T A) / N; model.projection
-    derives A_c and the offset once. The 1^T A term stays, inside A_c:
-    the columns of V are orthogonal to the ones vector only to rounding,
-    and for a component near the rank floor 1/sqrt(lambda) makes 1^T A
-    far from zero.
+    since mean(k(x)) (1^T A) = k(x) 1 (1^T A) / N; the model holds A_c
+    and the offset, so a row whose kernel row is all 0 maps to exactly
+    -model.offset. The 1^T A term stays, inside A_c: the columns of V
+    are orthogonal to the ones vector only to rounding, and for a
+    component near the rank floor 1/sqrt(lambda) makes 1^T A far from
+    zero.
     """
     Xnew = np.asarray(Xnew, dtype=float)
     if Xnew.ndim != 2 or Xnew.shape[1] != model.train_points.shape[1]:
@@ -285,7 +268,6 @@ def transform(model: KpcaModel, Xnew) -> np.ndarray:
             f"expected (M, {model.train_points.shape[1]}) input, got {Xnew.shape}"
         )
     _check_finite(Xnew, "input")
-    A_c, offset = model.projection
-    F = _cross_kernel(Xnew, model.train_points, model.params) @ A_c
-    F -= offset
+    F = _cross_kernel(Xnew, model.train_points, model.params) @ model.projection
+    F -= model.offset
     return F

@@ -26,7 +26,7 @@ MAD_CONSISTENCY = 1.4826
 # floor keeps the direction set identical across points.
 MAD_FLOOR = 1e-9
 DIRECTION_NORM_FLOOR = 1e-12
-MODEL_FORMAT = "lkplo-model-v2"
+MODEL_FORMAT = "lkplo-model-v3"
 
 VARIANTS = ("plo", "kplo", "lkplo")
 LOSS_KINDS = ("robust_z", "svm_like")
@@ -96,8 +96,10 @@ class FitConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed (--seed) must be >= 0, got {self.seed}")
+        for name, low in (("q", 1), ("k", 1), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} (--{name}) must be >= {low}, "
+                                 f"got {getattr(self, name)}")
 
 
 def gen_directions(F_centered, config: DirectionConfig, seed: int) -> np.ndarray:
@@ -200,8 +202,7 @@ def fit(X, config: FitConfig) -> LkploModel:
     if config.variant == "plo":
         F = X
     else:
-        kpca = fit_kpca(X, KernelParams(config.gamma), config.q)
-        F = kpca.train_features()
+        kpca, F = fit_kpca(X, KernelParams(config.gamma), config.q)
 
     if config.variant == "lkplo":
         centroids, membership = kmeans_fit(F, config.k, config.seed)
@@ -327,7 +328,7 @@ def score(model: LkploModel, Xnew) -> np.ndarray:
     return out
 
 
-# --- serialization (format "lkplo-model-v2") ---------------------------------
+# --- serialization (format "lkplo-model-v3") ---------------------------------
 
 
 def _arr(a):
@@ -360,36 +361,53 @@ def model_to_dict(model: LkploModel) -> dict:
             "gamma": model.kpca.params.gamma,
             "q": model.kpca.q,
             "eigenvalues": _arr(model.kpca.eigenvalues),
-            "eigenvectors": _arr(model.kpca.eigenvectors),
-            "gram_row_means": _arr(model.kpca.gram_row_means),
-            "gram_total_mean": model.kpca.gram_total_mean,
+            "projection": _arr(model.kpca.projection),
+            "offset": _arr(model.kpca.offset),
         }
     return d
 
 
-def _array(field, value, shape=()):
-    """value as a finite float array of shape (an entry of None matches
-    any length), or a float when shape is (); else a ValueError naming
-    field. Strings and bools are refused, which dtype=float would read."""
+def _field(parent, path):
+    """The value at path, the dotted path of a key of the JSON object
+    parent; else a ValueError naming parent's path when parent is not an
+    object, or path when the key is missing."""
+    where, _, key = path.rpartition(".")
+    if not isinstance(parent, dict):
+        raise ValueError(f"model field {where} is a JSON {type(parent).__name__}, "
+                         "expected an object")
+    if key not in parent:
+        raise ValueError(f"model field {path} is missing")
+    return parent[key]
+
+
+def _array(parent, path, shape=()):
+    """_field(parent, path) as a finite float array of shape (an entry of
+    None matches any length), or a float when shape is (); else a
+    ValueError naming path. Strings and bools are refused, which
+    dtype=float would read."""
+    value = _field(parent, path)
     try:
         a = np.asarray(value)
-    except (TypeError, ValueError):  # ragged nesting
+        if a.dtype == object and all(type(x) in (int, float) for x in a.flat):
+            a = a.astype(float)  # numbers, one an int beyond int64
+    except (TypeError, ValueError, OverflowError):  # ragged, or an int beyond float
         a = np.asarray(None)
     if a.dtype.kind not in "iuf":
-        raise ValueError(f"model field {field} is not a number or a regular array")
+        raise ValueError(f"model field {path} is not a number or a regular array")
     if a.ndim != len(shape) or not all(w in (None, g) for g, w in zip(a.shape, shape)):
         want = str(shape).replace("None", "*")
-        raise ValueError(f"model field {field} has shape {a.shape}, expected {want}")
+        raise ValueError(f"model field {path} has shape {a.shape}, expected {want}")
     if not np.isfinite(a).all():
-        raise ValueError(f"model field {field} has a non-finite value")
+        raise ValueError(f"model field {path} has a non-finite value")
     return a.astype(float, copy=False) if shape else float(a)
 
 
-def _count(field, value) -> int:
-    """value if it is an int >= 1, not a bool or a float; else a
-    ValueError naming field."""
+def _count(parent, path) -> int:
+    """_field(parent, path) if it is an int >= 1, not a bool or a float;
+    else a ValueError naming path."""
+    value = _field(parent, path)
     if type(value) is not int or value < 1:
-        raise ValueError(f"model field {field} is {value!r}, expected an int >= 1")
+        raise ValueError(f"model field {path} is {value!r}, expected an int >= 1")
     return value
 
 
@@ -401,50 +419,50 @@ def model_from_dict(d) -> LkploModel:
     tag = d.get("format") if isinstance(d, dict) else f"<a JSON {type(d).__name__}>"
     if tag != MODEL_FORMAT:
         raise ValueError(f"unsupported model format {tag!r}")
-    variant, kd = d["variant"], d["kpca"]
+    variant, kd = _field(d, "variant"), _field(d, "kpca")
     if variant not in VARIANTS:
         raise ValueError(f"model field variant is {variant!r}, "
                          f"expected one of {VARIANTS}")
     if (kd is None) != (variant == "plo"):
         state = "null" if kd is None else "set"
         raise ValueError(f"model field kpca is {state} for variant {variant!r}")
-    c = d["loss"]["c"]
-    loss = LossSpec(d["loss"]["kind"], None if c is None else _array("loss.c", c))
-    q = dim = _count("d", d["d"])
+    ld = _field(d, "loss")
+    c = None if _field(ld, "loss.c") is None else _array(ld, "loss.c")
+    loss = LossSpec(_field(ld, "loss.kind"), c)
+    q = dim = _count(d, "d")
     kpca = None
     if kd is not None:
-        train_points = _array("kpca.train_points", kd["train_points"], (None, dim))
+        train_points = _array(kd, "kpca.train_points", (None, dim))
         n = len(train_points)
-        q = _count("kpca.q", kd["q"])
-        eigenvalues = _array("kpca.eigenvalues", kd["eigenvalues"], (q,))
+        q = _count(kd, "kpca.q")
+        eigenvalues = _array(kd, "kpca.eigenvalues", (q,))
         if not np.all(eigenvalues > 0):
             raise ValueError("model field kpca.eigenvalues has a value <= 0")
         kpca = KpcaModel(
             train_points=train_points,
-            params=KernelParams(_array("kpca.gamma", kd["gamma"])),
+            params=KernelParams(_array(kd, "kpca.gamma")),
             q=q,
             eigenvalues=eigenvalues,
-            eigenvectors=_array("kpca.eigenvectors", kd["eigenvectors"], (n, q)),
-            gram_row_means=_array("kpca.gram_row_means", kd["gram_row_means"], (n,)),
-            gram_total_mean=_array("kpca.gram_total_mean", kd["gram_total_mean"]),
+            projection=_array(kd, "kpca.projection", (n, q)),
+            offset=_array(kd, "kpca.offset", (q,)),
         )
-    k = _count("clusters.k", d["clusters"]["k"])
-    centroids = _array("clusters.centroids", d["clusters"]["centroids"], (k, q))
+    cd = _field(d, "clusters")
+    k = _count(cd, "clusters.k")
+    centroids = _array(cd, "clusters.centroids", (k, q))
     # The weight is 1 / N_k, and float64 holds every integer up to 2**53.
-    sizes = _array("clusters.sizes", d["clusters"]["sizes"], (k,))
+    sizes = _array(cd, "clusters.sizes", (k,))
     if not np.all((sizes >= 1) & (sizes <= 2**53) & (sizes == np.round(sizes))):
         raise ValueError("model field clusters.sizes has a value that is not "
                          "a whole number in [1, 2**53]")
-    entries = d["per_cluster"]
-    if len(entries) != k:
-        raise ValueError(f"model field per_cluster has {len(entries)} entries, "
-                         f"expected {k}")
+    entries = _field(d, "per_cluster")
+    if type(entries) is not list or len(entries) != k:
+        raise ValueError(f"model field per_cluster is not a list of {k} entries")
     directions, medians, mads = [], [], []
     for j, entry in enumerate(entries):
-        u = _array(f"per_cluster[{j}].directions", entry["directions"], (None, q))
+        u = _array(entry, f"per_cluster[{j}].directions", (None, q))
         directions.append(u)
-        medians.append(_array(f"per_cluster[{j}].medians", entry["medians"], (len(u),)))
-        mads.append(_array(f"per_cluster[{j}].mads", entry["mads"], (len(u),)))
+        medians.append(_array(entry, f"per_cluster[{j}].medians", (len(u),)))
+        mads.append(_array(entry, f"per_cluster[{j}].mads", (len(u),)))
     return LkploModel(variant, kpca, loss, centroids, sizes.astype(int),
                       directions, medians, mads, dim)
 

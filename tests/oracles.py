@@ -75,6 +75,18 @@ def gram_matrix(X, params):
     return K
 
 
+@dataclass
+class KpcaFit:
+    """The oracle fit: its eigenvectors V and centering terms r and t,
+    which centered_transform uses, and the production model built from
+    them."""
+
+    model: KpcaModel
+    eigenvectors: np.ndarray
+    row_means: np.ndarray
+    total_mean: float
+
+
 def fit_kpca(X, params, q_requested):
     """fit_kpca solving the full spectrum with np.linalg.eigh."""
     X = np.asarray(X, dtype=float)
@@ -108,23 +120,25 @@ def fit_kpca(X, params, q_requested):
         if col[np.argmax(np.abs(col))] < 0:
             eigvecs[:, j] = -col
 
-    return KpcaModel(
+    A = eigvecs / np.sqrt(eigvals)
+    model = KpcaModel(
         train_points=X.copy(),
         params=params,
         q=q,
         eigenvalues=eigvals,
-        eigenvectors=eigvecs,
-        gram_row_means=row_means,
-        gram_total_mean=total_mean,
+        projection=A - A.mean(axis=0),
+        offset=(row_means - total_mean) @ A,
     )
+    return KpcaFit(model, eigvecs, row_means, total_mean)
 
 
-def centered_transform(model: KpcaModel, Xnew) -> np.ndarray:
+def centered_transform(fit: KpcaFit, Xnew) -> np.ndarray:
     """Project new points into the fitted q-dimensional feature space.
 
     Out-of-sample centering reuses the training row means / total mean:
     kbar(x, x_i) = k(x, x_i) - mean_i'(k(x, x_i')) - row_means[i] + total_mean.
     """
+    model = fit.model
     Xnew = np.asarray(Xnew, dtype=float)
     if Xnew.ndim != 2 or Xnew.shape[1] != model.train_points.shape[1]:
         raise ValueError(
@@ -134,10 +148,10 @@ def centered_transform(model: KpcaModel, Xnew) -> np.ndarray:
     Kx_bar = (
         Kx
         - Kx.mean(axis=1)[:, None]
-        - model.gram_row_means[None, :]
-        + model.gram_total_mean
+        - fit.row_means[None, :]
+        + fit.total_mean
     )
-    return (Kx_bar @ model.eigenvectors) / np.sqrt(model.eigenvalues)
+    return (Kx_bar @ fit.eigenvectors) / np.sqrt(model.eigenvalues)
 
 
 def kmeanspp_init(F, k, rng):

@@ -172,8 +172,7 @@ def test_criterion_4_linear_kpca_vs_pca():
         n = int(rng.integers(10, 101))
         d = int(rng.integers(2, 6))
         X = 2.0 * rng.standard_normal((n, d))
-        model = kpca_from_gram(X @ X.T, X, KernelParams(1.0), d)
-        F = model.train_features()
+        model, F = kpca_from_gram(X @ X.T, X, KernelParams(1.0), d)
         Xc = X - X.mean(axis=0)
         U, s, _ = np.linalg.svd(Xc, full_matrices=False)
         scores = U[:, : model.q] * s[: model.q]
@@ -261,7 +260,7 @@ def test_invariant_eigenvalue_ordering():
     for _ in range(N_CASES):
         n = int(rng.integers(3, 10))
         X = 2.0 * rng.standard_normal((n, 2))
-        model = fit_kpca(X, KernelParams(float(rng.uniform(0.1, 3.0))), n)
+        model, _ = fit_kpca(X, KernelParams(float(rng.uniform(0.1, 3.0))), n)
         assert np.all(np.diff(model.eigenvalues) <= 0)
         assert np.all(model.eigenvalues > 0)
     check("criterion 5: eigenvalue ordering and positivity (1000 cases)", True)

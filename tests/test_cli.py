@@ -109,6 +109,8 @@ class TestFitCommand:
         ("--gamma", "inf", "gamma must be positive and finite, got inf"),
         ("--c", "inf", "svm_like loss requires a finite c > 0, got inf"),
         ("--seed", "-1", "seed (--seed) must be >= 0, got -1"),
+        ("--q", "0", "q (--q) must be >= 1, got 0"),
+        ("--k", "0", "k (--k) must be >= 1, got 0"),
     ])
     def test_value_out_of_range_named(self, tmp_path, train_csv, capsys, flag, value, message):
         out = tmp_path / "m.json"

@@ -157,14 +157,14 @@ class TestKernelParams:
 class TestFitKpca:
     def test_two_points_clamp_to_rank_one(self):
         X = np.array([[0.0, 0.0], [1.0, 1.0]])
-        model = fit_kpca(X, KernelParams(1.0), q_requested=5)
+        model, _ = fit_kpca(X, KernelParams(1.0), q_requested=5)
         assert model.q == 1
 
     def test_duplicated_points_drop_rank(self):
         rng = np.random.default_rng(1)
         base = random_matrix(rng, 5, 2)
         X = np.vstack([base, base])
-        model = fit_kpca(X, KernelParams(1.0), q_requested=10)
+        model, _ = fit_kpca(X, KernelParams(1.0), q_requested=10)
         assert model.q < 10
 
     @pytest.mark.parametrize("n, q, message", [
@@ -183,30 +183,28 @@ class TestFitKpca:
 
     def test_eigenvalues_sorted_positive(self):
         rng = np.random.default_rng(2)
-        model = fit_kpca(random_matrix(rng, 20, 3), KernelParams(0.5), 10)
+        model, _ = fit_kpca(random_matrix(rng, 20, 3), KernelParams(0.5), 10)
         assert np.all(np.diff(model.eigenvalues) <= 0)
         assert np.all(model.eigenvalues > 0)
 
     def test_eigenvector_columns_orthonormal(self):
         rng = np.random.default_rng(4)
-        model = fit_kpca(random_matrix(rng, 15, 2), KernelParams(1.0), 8)
-        gram = model.eigenvectors.T @ model.eigenvectors
-        np.testing.assert_allclose(gram, np.eye(model.q), atol=1e-8)
+        model, F = fit_kpca(random_matrix(rng, 15, 2), KernelParams(1.0), 8)
+        V = F / np.sqrt(model.eigenvalues)
+        np.testing.assert_allclose(V.T @ V, np.eye(model.q), atol=1e-8)
 
     def test_gram_reconstruction_at_full_rank(self):
         rng = np.random.default_rng(5)
         X = random_matrix(rng, 12, 2)
-        model = fit_kpca(X, KernelParams(0.7), q_requested=12)
+        model, F = fit_kpca(X, KernelParams(0.7), q_requested=12)
         K = gram_matrix(X, model.params)
         center_gram(K)
-        F = model.train_features()
         assert np.abs(F @ F.T - K).max() <= 1e-6
 
     def test_linear_kernel_matches_pca_scores(self):
         rng = np.random.default_rng(6)
         X = random_matrix(rng, 30, 4)
-        model = kpca_from_gram(X @ X.T, X, KernelParams(1.0), q_requested=4)
-        F = model.train_features()
+        model, F = kpca_from_gram(X @ X.T, X, KernelParams(1.0), q_requested=4)
         Xc = X - X.mean(axis=0)
         U, s, _ = np.linalg.svd(Xc, full_matrices=False)
         scores = U[:, : model.q] * s[: model.q]
@@ -240,9 +238,9 @@ class TestFitKpca:
     def test_determinism(self):
         rng = np.random.default_rng(7)
         X = random_matrix(rng, 10, 3)
-        m1 = fit_kpca(X, KernelParams(0.3), 5)
-        m2 = fit_kpca(X, KernelParams(0.3), 5)
-        np.testing.assert_array_equal(m1.eigenvectors, m2.eigenvectors)
+        m1, F1 = fit_kpca(X, KernelParams(0.3), 5)
+        m2, F2 = fit_kpca(X, KernelParams(0.3), 5)
+        np.testing.assert_array_equal(F1, F2)
         np.testing.assert_array_equal(m1.eigenvalues, m2.eigenvalues)
 
     def test_non_finite_row_named(self, capfd):
@@ -262,10 +260,10 @@ def assert_matches_full_spectrum(seed, n, d, gamma, q):
     rng = np.random.default_rng(seed)
     X = random_matrix(rng, n, d, scale=rng.uniform(0.1, 3.0))
     params = KernelParams(gamma)
-    got = fit_kpca(X, params, q)
+    got, F = fit_kpca(X, params, q)
     want = oracles.fit_kpca(X, params, q)
-    assert got.q == want.q
-    lam = want.eigenvalues
+    assert got.q == want.model.q
+    lam = want.model.eigenvalues
     # Eigenvalues far above the rank floor agree to rtol 1e-10; the
     # solver's absolute error, ~1e-15 * lambda_max, bounds the rest.
     big = lam >= 1e-5 * lam[0]
@@ -281,7 +279,7 @@ def assert_matches_full_spectrum(seed, n, d, gamma, q):
         gap = min(full[j - 1] - full[j] if j > 0 else np.inf,
                   full[j] - full[j + 1] if j + 1 < n else np.inf)
         if gap > 1e-4 * full[0]:
-            v, w = got.eigenvectors[:, j], want.eigenvectors[:, j]
+            v, w = F[:, j] / np.sqrt(got.eigenvalues[j]), want.eigenvectors[:, j]
             np.testing.assert_allclose(v * np.sign(v @ w), w, rtol=0, atol=1e-9)
 
 
@@ -305,16 +303,16 @@ class TestTopQMatchesFullSpectrum:
     def test_q_above_n_clamps_to_rank(self):
         rng = np.random.default_rng(8)
         X = random_matrix(rng, 7, 2)
-        got = fit_kpca(X, KernelParams(1.0), q_requested=20)
-        want = oracles.fit_kpca(X, KernelParams(1.0), q_requested=20)
+        got, _ = fit_kpca(X, KernelParams(1.0), q_requested=20)
+        want = oracles.fit_kpca(X, KernelParams(1.0), q_requested=20).model
         assert got.q == want.q == 6  # centering removes one dimension
         np.testing.assert_allclose(got.eigenvalues, want.eigenvalues, rtol=1e-10)
 
     def test_q_above_rank_clamps_to_rank(self):
         rng = np.random.default_rng(9)
         X = np.repeat(random_matrix(rng, 4, 2), 3, axis=0)
-        got = fit_kpca(X, KernelParams(1.0), q_requested=10)
-        want = oracles.fit_kpca(X, KernelParams(1.0), q_requested=10)
+        got, _ = fit_kpca(X, KernelParams(1.0), q_requested=10)
+        want = oracles.fit_kpca(X, KernelParams(1.0), q_requested=10).model
         assert got.q == want.q == 3
         np.testing.assert_allclose(got.eigenvalues, want.eigenvalues, rtol=1e-10)
 
@@ -348,11 +346,11 @@ class TestRepeatedEigenvaluesAtTheSubsetEdge:
     def test_far_apart_points_on_a_line(self, n, q):
         # dsyevr returns no pairs at all for these subsets.
         X = np.arange(2.0 * n).reshape(n, 2) * 10
-        model = fit_kpca(X, KernelParams(1.0), q)
+        model, F = fit_kpca(X, KernelParams(1.0), q)
         assert model.q == q
         np.testing.assert_allclose(model.eigenvalues, 1.0, rtol=1e-12)
-        np.testing.assert_allclose(model.eigenvectors.T @ model.eigenvectors,
-                                   np.eye(q), atol=1e-12)
+        # F^T F = diag(lambda) holds V^T V = I.
+        np.testing.assert_allclose(F.T @ F, np.diag(model.eigenvalues), atol=1e-12)
 
     @given(
         st.integers(0, 10_000),
@@ -370,17 +368,17 @@ class TestRepeatedEigenvaluesAtTheSubsetEdge:
         params = KernelParams(gamma)
         q = 1 + round(q_frac * (n - 1))
         try:
-            want = oracles.fit_kpca(X, params, n)
+            want = oracles.fit_kpca(X, params, n).model
         except DegenerateKernelError:
             with pytest.raises(DegenerateKernelError):
                 fit_kpca(X, params, q)
             return
-        got = fit_kpca(X, params, q)
+        got, F = fit_kpca(X, params, q)
         assert got.q == min(q, want.q)
         np.testing.assert_allclose(got.eigenvalues, want.eigenvalues[:got.q],
                                    rtol=0, atol=1e-12 * want.eigenvalues[0])
-        np.testing.assert_allclose(got.eigenvectors.T @ got.eigenvectors,
-                                   np.eye(got.q), atol=1e-9)
+        V = F / np.sqrt(got.eigenvalues)
+        np.testing.assert_allclose(V.T @ V, np.eye(got.q), atol=1e-9)
 
 
 class TestDenseSolveInPlace:
@@ -402,7 +400,7 @@ class TestDenseSolveInPlace:
             return eigh(a, **{**kwargs, "overwrite_a": False})
 
         monkeypatch.setattr(scipy.linalg, "eigh", eigh_on_a_copy)
-        assert_same_model(fit_kpca(X, KernelParams(gamma), q), in_place)
+        assert_same_fit(fit_kpca(X, KernelParams(gamma), q), in_place)
         # The short subset is solved again over the full spectrum.
         assert len(calls) == (2 if q == 3 else 1)
 
@@ -412,7 +410,7 @@ class TestDenseSolveInPlace:
         fit_kpca(X[:10], KernelParams(0.2), 2)  # imports scipy.linalg untraced
         tracemalloc.start()
         try:
-            model = fit_kpca(X, KernelParams(0.2), n // 10)  # the dense path
+            model, _ = fit_kpca(X, KernelParams(0.2), n // 10)  # the dense path
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -433,9 +431,13 @@ def eigsh_ks(monkeypatch):
     return ks
 
 
-def assert_same_model(a, b):
-    for field in dataclasses.fields(a):
-        assert np.array_equal(getattr(a, field.name), getattr(b, field.name)), field.name
+def assert_same_fit(a, b):
+    """Two (KpcaModel, features) pairs hold bit-identical arrays."""
+    (model_a, F_a), (model_b, F_b) = a, b
+    assert np.array_equal(F_a, F_b)
+    for field in dataclasses.fields(model_a):
+        name = field.name
+        assert np.array_equal(getattr(model_a, name), getattr(model_b, name)), name
 
 
 class TestArpackPath:
@@ -469,8 +471,8 @@ class TestArpackPath:
         # top eigenvalue of its centered Gram matrix is double.
         g = np.linspace(-1.0, 1.0, 17)
         X = np.column_stack([np.repeat(g, 17), np.tile(g, 17)])
-        got = fit_kpca(X, KernelParams(1.0), 5)
-        want = oracles.fit_kpca(X, KernelParams(1.0), 5)
+        got, _ = fit_kpca(X, KernelParams(1.0), 5)
+        want = oracles.fit_kpca(X, KernelParams(1.0), 5).model
         assert got.q == want.q == 5
         assert got.eigenvalues[0] == pytest.approx(50.51, abs=0.01)
         np.testing.assert_allclose(got.eigenvalues, want.eigenvalues, rtol=1e-10, atol=0)
@@ -480,8 +482,8 @@ class TestArpackPath:
         # Lanczos basis runs out and restarts from seeded random vectors.
         X = np.repeat(random_matrix(np.random.default_rng(1), 5, 2), 60, axis=0)
         first = fit_kpca(X, KernelParams(1.0), 20)
-        assert first.q == oracles.fit_kpca(X, KernelParams(1.0), 20).q == 4
-        assert_same_model(first, fit_kpca(X, KernelParams(1.0), 20))
+        assert first[0].q == oracles.fit_kpca(X, KernelParams(1.0), 20).model.q == 4
+        assert_same_fit(first, fit_kpca(X, KernelParams(1.0), 20))
 
     def test_identical_points_degenerate(self):
         # K is zero after centering, so ARPACK rejects its start vector and
@@ -499,44 +501,40 @@ class TestArpackPath:
             raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((len(X), 0)))
 
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
-        assert_same_model(fit_kpca(X, KernelParams(0.5), 10), dense)
+        assert_same_fit(fit_kpca(X, KernelParams(0.5), 10), dense)
 
 
 class TestTransform:
     def test_training_points_reproduce_features(self):
         rng = np.random.default_rng(8)
         X = random_matrix(rng, 18, 3)
-        model = fit_kpca(X, KernelParams(0.4), 6)
-        np.testing.assert_allclose(
-            transform(model, X), model.train_features(), atol=1e-6
-        )
+        model, F = fit_kpca(X, KernelParams(0.4), 6)
+        np.testing.assert_allclose(transform(model, X), F, atol=1e-6)
 
     def test_empty_input(self):
         rng = np.random.default_rng(9)
-        model = fit_kpca(random_matrix(rng, 6, 2), KernelParams(1.0), 3)
+        model, _ = fit_kpca(random_matrix(rng, 6, 2), KernelParams(1.0), 3)
         out = transform(model, np.empty((0, 2)))
         assert out.shape == (0, model.q)
 
     def test_far_point_matches_zero_kernel_limit(self):
         rng = np.random.default_rng(10)
         X = random_matrix(rng, 8, 2)
-        model = fit_kpca(X, KernelParams(1.0), 4)
-        far = np.array([[1e6, 1e6]])
-        got = transform(model, far)
-        # All k(x, x_i) underflow to 0; only the stored centering terms remain.
-        kbar = -model.gram_row_means + model.gram_total_mean
-        expect = (kbar @ model.eigenvectors) / np.sqrt(model.eigenvalues)
-        np.testing.assert_allclose(got[0], expect, atol=1e-6)
+        model, _ = fit_kpca(X, KernelParams(1.0), 4)
+        far = np.array([[1e6, 1e6], [-1e6, 3e3]])
+        assert not _cross_kernel(far, model.train_points, model.params).any()
+        # All k(x, x_i) underflow to 0, so only the stored offset remains.
+        np.testing.assert_array_equal(transform(model, far), [-model.offset] * 2)
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(11)
-        model = fit_kpca(random_matrix(rng, 6, 2), KernelParams(1.0), 3)
+        model, _ = fit_kpca(random_matrix(rng, 6, 2), KernelParams(1.0), 3)
         with pytest.raises(ValueError):
             transform(model, np.zeros((3, 5)))
 
     def test_non_finite_row_named(self):
         rng = np.random.default_rng(11)
-        model = fit_kpca(random_matrix(rng, 6, 2), KernelParams(1.0), 3)
+        model, _ = fit_kpca(random_matrix(rng, 6, 2), KernelParams(1.0), 3)
         Xnew = np.zeros((5, 2))
         Xnew[2, 0] = np.nan
         Xnew[4, 1] = -np.inf
@@ -550,7 +548,5 @@ def test_transform_consistency_property(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 15))
     X = random_matrix(rng, n, int(rng.integers(1, 4)))
-    model = fit_kpca(X, KernelParams(float(rng.uniform(0.05, 3.0))), n)
-    np.testing.assert_allclose(
-        transform(model, X), model.train_features(), atol=1e-6
-    )
+    model, F = fit_kpca(X, KernelParams(float(rng.uniform(0.05, 3.0))), n)
+    np.testing.assert_allclose(transform(model, X), F, atol=1e-6)

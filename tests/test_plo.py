@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 import oracles
 from lkplo.clustering import InvalidKError, assign_nearest
-from lkplo.kernel_feature import DegenerateKernelError
+from lkplo.data import gen_three_gaussians
+from lkplo.kernel_feature import (DegenerateKernelError, KernelParams, _cross_kernel,
+                                  fit_kpca, transform)
 from lkplo.plo import (
     MAD_FLOOR,
     VARIANTS,
@@ -298,7 +300,8 @@ class TestFit:
         X = np.vstack([c + 0.4 * rng.standard_normal((25, 2)) for c in centers])
         blob = np.repeat(np.arange(3), 25)
         model = fit(X, svm_config("lkplo", gamma=0.05, q=5, k=3, seed=4))
-        labels = assign_nearest(model.centroids, model.kpca.train_features())
+        _, F = fit_kpca(X, KernelParams(0.05), 5)  # the features fit clustered
+        labels = assign_nearest(model.centroids, F)
         # Each blob maps to exactly one cluster.
         mapping = {b: set(labels[blob == b]) for b in range(3)}
         assert all(len(s) == 1 for s in mapping.values())
@@ -425,6 +428,22 @@ class TestScore:
         with pytest.raises(ValueError, match="input row 4 is not finite"):
             score(model, Xnew)
 
+    def test_rows_beyond_the_kernels_reach_share_one_score(self):
+        # The benchmark's score_grid model. A row whose kernel values all
+        # underflow to 0 has the feature -offset, so every such row gets
+        # one score, and it is below the largest training score: the far
+        # field scores like an inlier. Pinned so that a change to it is
+        # deliberate.
+        X = gen_three_gaussians(0).X
+        model = fit(X, svm_config("lkplo", gamma=0.5, q=20, k=10, seed=0))
+        far = np.array([[100.0, 100.0], [-50.0, 20.0], [1e3, -1e3], [-1e6, 1e6]])
+        kpca = model.kpca
+        assert not _cross_kernel(far, kpca.train_points, kpca.params).any()
+        np.testing.assert_array_equal(transform(kpca, far), [-kpca.offset] * len(far))
+        s = score(model, far)
+        assert np.all(s == s[0])
+        assert 0 < s[0] < score(model, X).max()
+
     def test_rpd_equivalence(self):
         """Linear-global robust-Z over random-only directions is classical
         RPD up to the constant 1/N weight."""
@@ -463,9 +482,9 @@ class TestSerialization:
         np.testing.assert_array_equal(score(model, Xq), score(loaded, Xq))
 
     def test_round_trip_stores_no_derived_projection(self, tmp_path):
-        # transform derives A = V / sqrt(lambda) and its offsets from the
-        # stored fields on first use. The file keeps exactly the v2 keys,
-        # and the loaded model derives them again bit for bit.
+        # The file stores the scoring map itself, A_c and the offset that
+        # transform multiplies and subtracts, and nothing it is derived
+        # from: the v3 kpca keys, read back bit for bit.
         rng = np.random.default_rng(23)
         model = fit(rng.standard_normal((30, 2)), svm_config("kplo", gamma=0.4, q=6))
         Xq = rng.uniform(-4.0, 4.0, size=(2 * _block_rows(model) + 35, 2))
@@ -473,16 +492,18 @@ class TestSerialization:
         path = tmp_path / "model.json"
         save_model(model, path)
         assert sorted(json.loads(path.read_text())["kpca"]) == [
-            "eigenvalues", "eigenvectors", "gamma", "gram_row_means",
-            "gram_total_mean", "q", "train_points"]
-        np.testing.assert_array_equal(score(load_model(path), Xq), want)
+            "eigenvalues", "gamma", "offset", "projection", "q", "train_points"]
+        loaded = load_model(path)
+        for name in ("projection", "offset"):
+            assert np.array_equal(getattr(loaded.kpca, name), getattr(model.kpca, name))
+        np.testing.assert_array_equal(score(loaded, Xq), want)
 
     def test_format_tag_checked(self):
         rng = np.random.default_rng(20)
         model = fit(rng.standard_normal((8, 2)), rz_config(seed=0))
         d = model_to_dict(model)
-        assert d["format"] == "lkplo-model-v2"
-        for tag in ("something-else", "lkplo-model-v1"):
+        assert d["format"] == "lkplo-model-v3"
+        for tag in ("something-else", "lkplo-model-v1", "lkplo-model-v2"):
             d["format"] = tag
             with pytest.raises(ValueError, match=f"unsupported model format '{tag}'"):
                 model_from_dict(d)
@@ -514,18 +535,18 @@ CORRUPTIONS = [
         medians=[[m] for m in d["per_cluster"][1]["medians"]])),
     ("kpca.train_points", lambda d: d["kpca"].update(
         train_points=[x + [0.0] for x in d["kpca"]["train_points"]])),
-    ("kpca.eigenvectors", lambda d: _drop_last("eigenvectors")(d["kpca"])),
+    ("kpca.projection", lambda d: _drop_last("projection")(d["kpca"])),
     ("kpca.eigenvalues", lambda d: _drop_last("eigenvalues")(d["kpca"])),
     ("kpca.eigenvalues", lambda d: d["kpca"]["eigenvalues"].__setitem__(-1, 0.0)),
-    ("kpca.gram_row_means", lambda d: _drop_last("gram_row_means")(d["kpca"])),
+    ("kpca.offset", lambda d: _drop_last("offset")(d["kpca"])),
     # json.load reads NaN and Infinity, so every number is checked for them.
     ("per_cluster[0].mads", lambda d: d["per_cluster"][0]["mads"].__setitem__(0, math.nan)),
     ("per_cluster[1].directions", lambda d: d["per_cluster"][1]["directions"][0]
      .__setitem__(1, math.inf)),
     ("clusters.centroids", lambda d: d["clusters"]["centroids"][2].__setitem__(0, -math.inf)),
-    ("kpca.eigenvectors", lambda d: d["kpca"]["eigenvectors"][3].__setitem__(0, math.nan)),
+    ("kpca.projection", lambda d: d["kpca"]["projection"][3].__setitem__(0, math.nan)),
     ("kpca.gamma", lambda d: d["kpca"].update(gamma=math.inf)),
-    ("kpca.gram_total_mean", lambda d: d["kpca"].update(gram_total_mean=math.nan)),
+    ("kpca.offset", lambda d: d["kpca"]["offset"].__setitem__(0, math.nan)),
     ("loss.c", lambda d: d["loss"].update(c=math.nan)),
     ("variant", lambda d: d.update(variant="klpo")),
     ("kpca", lambda d: d.update(kpca=None)),
@@ -542,6 +563,15 @@ CORRUPTIONS = [
     ("d", lambda d: d.update(d=True)),
     ("clusters.centroids", lambda d: d["clusters"]["centroids"][0].append(0.0)),
     ("kpca.gamma", lambda d: d["kpca"].update(gamma="0.5")),
+    # Missing keys and values that are not objects, named by their path.
+    ("loss", lambda d: d.pop("loss")),
+    ("kpca.gamma", lambda d: d["kpca"].pop("gamma")),
+    ("clusters", lambda d: d.update(clusters=[])),
+    ("kpca", lambda d: d.update(kpca=[])),
+    ("per_cluster[0]", lambda d: d["per_cluster"].__setitem__(0, [])),
+    ("loss", lambda d: d.update(loss="svm")),
+    # An int beyond int64 is still a number: here a size beyond 2**53.
+    ("clusters.sizes", lambda d: d["clusters"]["sizes"].__setitem__(0, 10**30)),
 ]
 
 

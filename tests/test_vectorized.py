@@ -310,15 +310,16 @@ class TestKernelMatchesReference:
         assert np.array_equal(K, oracles.gram_matrix(X, KernelParams(0.7)))
 
 
-def assert_transform_matches_centered(model, Xnew):
+def assert_transform_matches_centered(fit, Xnew):
     """Each feature j is an N-term product of kernel values in [0, 1]
     with A_j = v_j / sqrt(lambda_j), so the folded and the centered forms
     round it differently by up to about N * eps * |A_j|_1; components
     near the rank floor have a large A_j and round the most."""
+    model = fit.model
     got = transform(model, Xnew)
-    want = oracles.centered_transform(model, Xnew)
+    want = oracles.centered_transform(fit, Xnew)
     n = len(model.train_points)
-    A_norms = np.abs(model.eigenvectors / np.sqrt(model.eigenvalues)).sum(axis=0)
+    A_norms = np.abs(fit.eigenvectors / np.sqrt(model.eigenvalues)).sum(axis=0)
     for j, a in enumerate(A_norms):
         np.testing.assert_allclose(got[:, j], want[:, j], rtol=1e-12,
                                    atol=4 * n * np.finfo(float).eps * a)
@@ -335,8 +336,8 @@ class TestTransformMatchesCentered:
     def fitted(seed, n, d, gamma, q_frac):
         rng = np.random.default_rng(seed)
         X = rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0)
-        model = oracles.fit_kpca(X, KernelParams(gamma), max(1, round(q_frac * n)))
-        return model, rng
+        fit = oracles.fit_kpca(X, KernelParams(gamma), max(1, round(q_frac * n)))
+        return fit, rng
 
     @given(
         st.integers(0, 10_000),
@@ -351,17 +352,19 @@ class TestTransformMatchesCentered:
         # The reference fit solves the full spectrum; the transform does
         # not depend on which solver produced the model. The last rows are
         # so far from every training point that each kernel value is 0.
-        model, rng = self.fitted(seed, n, d, gamma, q_frac)
+        fit, rng = self.fitted(seed, n, d, gamma, q_frac)
+        model = fit.model
         far = 1e6 * rng.choice([-1.0, 1.0], size=(3, d))
         Xnew = np.vstack([model.train_points, 3.0 * rng.standard_normal((9, d)), far])
         assert not _cross_kernel(far, model.train_points, model.params).any()
-        assert_transform_matches_centered(model, Xnew)
+        assert_transform_matches_centered(fit, Xnew)
 
     def test_last_component_at_the_rank_floor(self):
-        model, rng = self.fitted(*AT_RANK_FLOOR)
-        floor = max(ABS_EIG_FLOOR, REL_EIG_FLOOR * model.eigenvalues[0])
-        assert floor < model.eigenvalues[-1] < 1.5 * floor
-        assert_transform_matches_centered(model, 3.0 * rng.standard_normal((50, 2)))
+        fit, rng = self.fitted(*AT_RANK_FLOOR)
+        eigenvalues = fit.model.eigenvalues
+        floor = max(ABS_EIG_FLOOR, REL_EIG_FLOOR * eigenvalues[0])
+        assert floor < eigenvalues[-1] < 1.5 * floor
+        assert_transform_matches_centered(fit, 3.0 * rng.standard_normal((50, 2)))
 
 
 CONFIGS = [
