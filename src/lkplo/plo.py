@@ -6,7 +6,8 @@ The score of a point is the maximum loss over the stored projection
 directions of its nearest cluster, centered at that cluster's centroid
 and weighted by the inverse cluster size. Per-direction medians and
 MADs are precomputed at fit time; scoring never touches training
-features again.
+features again. Fitting a cluster costs its draws, one norm pass over
+its candidates and two row-wise sorts, and gives np.median's bits.
 """
 
 import json
@@ -46,6 +47,8 @@ class LossSpec:
             raise ValueError(f"unknown loss kind {self.kind!r}")
         if self.kind == "svm_like" and not (self.c is not None and 0 < self.c < math.inf):
             raise ValueError(f"svm_like loss requires a finite c > 0, got {self.c}")
+        if self.kind == "robust_z" and self.c is not None:
+            raise ValueError(f"robust_z loss takes no c, got {self.c}")
 
 
 @dataclass(frozen=True)
@@ -110,55 +113,59 @@ def gen_directions(F_centered, config: DirectionConfig, seed: int) -> np.ndarray
     replacement (with replacement when more are requested than rows
     exist). Two-Points: normalized differences of sampled distinct row
     pairs, redrawn up to a retry budget as i == j is common. Near-zero
-    candidates are dropped.
+    candidates are dropped. The draws come in that order; the first round
+    of all four takes one norm pass, and pairs are redrawn while short.
     """
     F_centered = np.asarray(F_centered, dtype=float)
     n_k, q = F_centered.shape
     if n_k < 1 or q < 1:
         raise ValueError("need at least one member row and one feature")
     rng = np.random.default_rng(seed)
-    out = [np.empty((0, q))]
+    n_one = min(50, n_k) if config.n_one_point is None else config.n_one_point
+    n_two = config.n_two_points if n_k >= 2 else 0
+    if n_two is None:
+        n_two = min(50, n_k * (n_k - 1) // 2)
 
     def norm_rows(rows):
         # A stacked 1xq @ qx1 product is the dot np.linalg.norm(r) takes,
         # so every norm is bit-identical to the per-row call.
         nrm = np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
         keep = nrm >= DIRECTION_NORM_FLOOR
-        return rows[keep] / nrm[keep, None]
+        return rows[keep] / nrm[keep, None], keep
 
+    def pairs(need):
+        i, j = rng.integers(n_k, size=need), rng.integers(n_k, size=need)
+        ok = i != j
+        return F_centered[i[ok]] - F_centered[j[ok]]
+
+    candidates = []
     if config.n_random > 0:
-        out.append(norm_rows(rng.standard_normal((config.n_random, q))))
-
+        candidates.append(rng.standard_normal((config.n_random, q)))
     if config.include_basis:
-        out.append(np.eye(q))
-
-    n_one = config.n_one_point
-    if n_one is None:
-        n_one = min(50, n_k)
+        candidates.append(np.eye(q))  # norms of exactly 1: kept as they are
     if n_one > 0:
-        replace = n_one > n_k
-        idx = rng.choice(n_k, size=n_one, replace=replace)
-        out.append(norm_rows(F_centered[idx]))
-
-    n_two = config.n_two_points
-    if n_two is None:
-        n_two = min(50, n_k * (n_k - 1) // 2)
-    if n_two > 0 and n_k >= 2:
-        kept = np.empty((0, q))
-        budget = 10
-        while len(kept) < n_two and budget > 0:
-            need = n_two - len(kept)
-            i = rng.integers(n_k, size=need)
-            j = rng.integers(n_k, size=need)
-            ok = i != j
-            kept = np.vstack([kept, norm_rows(F_centered[i[ok]] - F_centered[j[ok]])])
-            budget -= 1
-        out.append(kept)
-
-    directions = np.concatenate(out)
+        candidates.append(F_centered[rng.choice(n_k, size=n_one, replace=n_one > n_k)])
+    first = pairs(n_two)  # the last draw, so an empty one changes nothing
+    rows, keep = norm_rows(np.concatenate([*candidates, first]))
+    rounds, kept = [rows], np.count_nonzero(keep[len(keep) - len(first):])
+    while kept < n_two and len(rounds) < 10:
+        rounds.append(norm_rows(pairs(n_two - kept))[0])
+        kept += len(rounds[-1])
+    directions = np.concatenate(rounds)
     if len(directions) == 0:
         raise DegenerateDirectionsError("no usable projection directions")
     return directions
+
+
+def _row_medians(a):
+    """np.median(a, axis=1) of the C-contiguous 2-D array a, bit for bit,
+    sorting each row in place. The 0.0 + repeats np.median's mean, a sum
+    from +0.0: no -0.0, whichever zero of a tie sorts first."""
+    a.sort()
+    h = a.shape[1] // 2
+    if a.shape[1] % 2:
+        return 0.0 + a[:, h]
+    return (0.0 + a[:, h - 1] + a[:, h]) / 2
 
 
 def _max_loss(proj, medians, mads, loss: LossSpec):
@@ -216,13 +223,12 @@ def fit(X, config: FitConfig) -> LkploModel:
         u = gen_directions(
             centered, config.direction_config, _derive_seed(config.seed, j)
         )
-        proj = centered @ u.T  # (n_k, D)
-        median = np.median(proj, axis=0)
+        proj = np.ascontiguousarray((centered @ u.T).T)  # (D, n_k), sorted in place
+        median = _row_medians(proj)
+        np.abs(np.subtract(proj, median[:, None], out=proj), out=proj)
         directions.append(u)
         medians.append(median)
-        mads.append(MAD_CONSISTENCY * np.median(
-            np.abs(proj - median[None, :]), axis=0
-        ))
+        mads.append(MAD_CONSISTENCY * _row_medians(proj))
 
     return LkploModel(
         variant=config.variant,
@@ -402,6 +408,14 @@ def _array(parent, path, shape=()):
     return a.astype(float, copy=False) if shape else float(a)
 
 
+def _built(path, make, *args):
+    """make(*args), a ValueError from it named as model field path's."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ValueError(f"model field {path} is invalid: {exc}") from None
+
+
 def _count(parent, path) -> int:
     """_field(parent, path) if it is an int >= 1, not a bool or a float;
     else a ValueError naming path."""
@@ -427,8 +441,9 @@ def model_from_dict(d) -> LkploModel:
         state = "null" if kd is None else "set"
         raise ValueError(f"model field kpca is {state} for variant {variant!r}")
     ld = _field(d, "loss")
+    kind = _field(ld, "loss.kind")
     c = None if _field(ld, "loss.c") is None else _array(ld, "loss.c")
-    loss = LossSpec(_field(ld, "loss.kind"), c)
+    loss = _built("loss.c" if kind in LOSS_KINDS else "loss.kind", LossSpec, kind, c)
     q = dim = _count(d, "d")
     kpca = None
     if kd is not None:
@@ -440,7 +455,7 @@ def model_from_dict(d) -> LkploModel:
             raise ValueError("model field kpca.eigenvalues has a value <= 0")
         kpca = KpcaModel(
             train_points=train_points,
-            params=KernelParams(_array(kd, "kpca.gamma")),
+            params=_built("kpca.gamma", KernelParams, _array(kd, "kpca.gamma")),
             q=q,
             eigenvalues=eigenvalues,
             projection=_array(kd, "kpca.projection", (n, q)),

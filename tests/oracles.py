@@ -1,8 +1,9 @@
 """Reference versions of the optimized production paths.
 
 Each function is the code the production path replaced (a per-cluster
-or per-row loop, k-means' per-call row norms, rng.choice in k-means++,
-the fancy-indexed Gram mirror, the single-pass score), kept verbatim so
+or per-row loop, fit's per-cluster stage with np.median, k-means'
+per-call row norms, rng.choice in k-means++, the fancy-indexed Gram
+mirror, the single-pass score), kept verbatim so
 the tests can assert the optimized version returns bit-identical results
 (np.array_equal, not allclose), or, for a score batch spanning several
 blocks, results equal to rounding. The full-spectrum fit_kpca and
@@ -35,8 +36,10 @@ from lkplo.kernel_feature import (
 )
 from lkplo.plo import (
     DIRECTION_NORM_FLOOR,
+    MAD_CONSISTENCY,
     MAD_FLOOR,
     DegenerateDirectionsError,
+    _derive_seed,
 )
 
 
@@ -294,6 +297,26 @@ def gen_directions(F_centered, config, seed):
     if not out:
         raise DegenerateDirectionsError("no usable projection directions")
     return np.asarray(out)
+
+
+def fit_cluster_stats(F, centroids, membership, config):
+    """plo.fit's per-cluster stage on features F clustered into centroids
+    and membership: (directions, medians, MADs), each a list with one
+    array per cluster, from np.median over the projections."""
+    directions, medians, mads = [], [], []
+    for j, centroid in enumerate(centroids):
+        centered = F[membership == j] - centroid
+        u = gen_directions(
+            centered, config.direction_config, _derive_seed(config.seed, j)
+        )
+        proj = centered @ u.T  # (n_k, D)
+        median = np.median(proj, axis=0)
+        directions.append(u)
+        medians.append(median)
+        mads.append(MAD_CONSISTENCY * np.median(
+            np.abs(proj - median[None, :]), axis=0
+        ))
+    return directions, medians, mads
 
 
 def _losses(proj, medians, mads, loss):

@@ -161,6 +161,7 @@ class TestLossSpec:
 
 @pytest.mark.parametrize("call, message", [
     (lambda: LossSpec("bogus"), "unknown loss kind 'bogus'"),
+    (lambda: LossSpec("robust_z", 2.0), "robust_z loss takes no c, got 2.0"),
     (lambda: FitConfig(variant="bogus", loss=LossSpec("robust_z")),
      "unknown variant 'bogus'"),
     (lambda: gen_directions(np.empty((0, 3)), DirectionConfig(), seed=0),
@@ -589,6 +590,24 @@ class TestModelValidation:
         corrupt(d)
         with pytest.raises(ValueError, match=f"model field {re.escape(field)} "):
             model_from_dict(d)
+
+    @pytest.mark.parametrize("field,corrupt,cause", [
+        ("loss.kind", lambda d: d["loss"].update(kind="svm"), "unknown loss kind 'svm'"),
+        ("loss.c", lambda d: d["loss"].update(c=None),
+         "svm_like loss requires a finite c > 0, got None"),
+        ("loss.c", lambda d: d["loss"].update(kind="robust_z"),
+         "robust_z loss takes no c, got 2.0"),
+        ("kpca.gamma", lambda d: d["kpca"].update(gamma=-1.0),
+         "gamma must be positive and finite, got -1.0"),
+    ], ids=["unknown-kind", "svm-without-c", "robust-z-with-c", "negative-gamma"])
+    def test_spec_error_names_the_field(self, model_dict, field, corrupt, cause):
+        # The loss and kernel parameters check themselves; the reader
+        # names the field their error came from.
+        d = json.loads(json.dumps(model_dict))
+        corrupt(d)
+        with pytest.raises(ValueError) as err:
+            model_from_dict(d)
+        assert str(err.value) == f"model field {field} is invalid: {cause}"
 
     def test_plo_centroid_width_is_d(self):
         rng = np.random.default_rng(22)

@@ -37,6 +37,7 @@ from lkplo.plo import (
     LossSpec,
     _block_rows,
     _max_loss,
+    _row_medians,
     _score_block,
     fit,
     gen_directions,
@@ -407,6 +408,129 @@ class TestDirectionsMatchScalar:
         got = gen_directions(F, config, seed=4)
         assert np.array_equal(got, oracles.gen_directions(F, config, seed=4))
         assert np.array_equal(got, [[0.6, 0.8, 0.0]] * len(got))
+
+
+def fit_and_loop(monkeypatch, X, config, membership=None):
+    """plo.fit(X, config), and the oracle loop's (directions, medians,
+    MADs) on the features, centroids and membership that fit used. For
+    lkplo, a membership given replaces k-means by that partition and the
+    means of its clusters."""
+    if config.variant == "plo":
+        F = np.asarray(X, dtype=float)
+        seen = dict(F=F, centroids=F.mean(axis=0)[None, :], labels=np.zeros(len(F), int))
+    else:
+        assert config.variant == "lkplo"
+        seen = {}
+
+    def cluster(F, k, seed):
+        if membership is None:
+            centroids, labels = kmeans_fit(F, k, seed)
+        else:
+            labels = np.asarray(membership)
+            centroids = np.array([F[labels == j].mean(axis=0) for j in range(k)])
+        seen.update(F=F, centroids=centroids, labels=labels)
+        return centroids, labels
+
+    monkeypatch.setattr(plo, "kmeans_fit", cluster)
+    model = fit(X, config)
+    return model, oracles.fit_cluster_stats(seen["F"], seen["centroids"], seen["labels"], config)
+
+
+def assert_stage_equal(model, want):
+    for got_arrays, want_arrays in zip((model.directions, model.medians, model.mads), want):
+        assert len(got_arrays) == len(want_arrays)
+        for got, expected in zip(got_arrays, want_arrays):
+            assert np.array_equal(got, expected)
+            assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+class TestClusterStageMatchesLoop:
+    """fit's directions, projection medians and MADs are the oracle
+    loop's, which takes np.median per cluster: equal bits, zeros of the
+    same sign."""
+
+    @pytest.mark.parametrize("k", [2, 10, 30])
+    @pytest.mark.parametrize("q", [5, 20, 30])
+    @pytest.mark.parametrize("n", [288, 384])
+    def test_protocol_sizes(self, monkeypatch, n, q, k):
+        X = gen_three_gaussians(k).X[:n]
+        config = FitConfig(variant="lkplo", loss=LossSpec("svm_like", 2.0),
+                           gamma=0.5, q=q, k=k, seed=n + q)
+        model, want = fit_and_loop(monkeypatch, X, config)
+        assert_stage_equal(model, want)
+
+    @pytest.mark.parametrize("direction_config", [
+        DirectionConfig(),
+        DirectionConfig(n_random=0),
+        DirectionConfig(include_basis=False),
+        DirectionConfig(n_one_point=30),  # more than any cluster has rows
+    ], ids=["default", "no-random", "no-basis", "one-point-with-replacement"])
+    def test_small_clusters(self, monkeypatch, direction_config):
+        # Cluster 0 is a singleton: its one centered row is zero, so its
+        # one-point candidate is dropped, Two-Points draws nothing, and
+        # every projection, median and MAD is zero. Cluster 1 is a pair,
+        # with one two-point direction.
+        sizes = [1, 2, 3, 10, 24]
+        membership = np.random.default_rng(1).permutation(np.repeat(np.arange(5), sizes))
+        config = FitConfig(variant="lkplo", loss=LossSpec("robust_z"), gamma=0.5, q=6,
+                           k=5, seed=7, direction_config=direction_config)
+        model, want = fit_and_loop(monkeypatch, gen_three_gaussians(5).X[:40], config,
+                                   membership)
+        assert model.sizes.tolist() == sizes
+        assert_stage_equal(model, want)
+        assert not model.medians[0].any() and not model.mads[0].any()
+
+    @pytest.mark.parametrize("n_zero", [4, 5])
+    @pytest.mark.parametrize("direction_config", [
+        DirectionConfig(), DirectionConfig(n_random=0, include_basis=False, n_two_points=200),
+    ], ids=["default", "pairs-only"])
+    def test_duplicate_rows(self, monkeypatch, n_zero, direction_config):
+        # plo's one cluster is centered at the exact mean, zero: the zero
+        # rows' one-point candidates and the differences of equal rows
+        # fall below the floor, so Two-Points draws again, and every
+        # projection median is zero (two middle zeros for even n, one
+        # for odd n).
+        rows = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, -1.0], [-1.0, -2.0, 1.0]])
+        X = rows[np.random.default_rng(n_zero).permutation(np.repeat([0, 1, 2], [n_zero, 3, 3]))]
+        config = FitConfig(variant="plo", loss=LossSpec("robust_z"), seed=3,
+                           direction_config=direction_config)
+        model, want = fit_and_loop(monkeypatch, X, config)
+        assert_stage_equal(model, want)
+        assert not model.medians[0].any()
+        if direction_config.n_random == 0:
+            assert len(model.directions[0]) == 200 + len(X) - n_zero
+
+
+class TestRowMedians:
+    """_row_medians is np.median over the same values, byte for byte:
+    ties, zeros of either sign and subnormals included."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 50, 51])
+    def test_matches_np_median(self, n):
+        rng = np.random.default_rng(n)
+        values = np.array([-0.0, 0.0, -1.0, 1.0, 2.5, -5e-324, 5e-324])
+        a = np.vstack([
+            rng.choice(values, size=(300, n)),
+            rng.choice(values[:2], size=(100, n)),          # only zeros
+            np.round(rng.standard_normal((100, n))),        # ties
+            rng.standard_normal((100, n)),
+        ])
+        # fit took np.median down the columns of the (n_k, D) projections.
+        want = np.median(a.T, axis=0)
+        assert _row_medians(a.copy()).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("row,median", [
+        ([-0.0], 0.0),
+        ([-0.0, -0.0], 0.0),
+        ([-0.0, -0.0, 0.0], 0.0),
+        ([-5e-324, 0.0], -0.0),     # the sum of the middles is halved to -0.0
+        ([-5e-324, -5e-324, 3.0], -5e-324),
+    ])
+    def test_sign_of_zero(self, row, median):
+        want = np.median(np.array(row))
+        assert np.array(median).tobytes() == want.tobytes()
+        got = _row_medians(np.array([row]))
+        assert got.tobytes() == np.array([median]).tobytes()
 
 
 class TestMaxLossMatchesElementwise:
