@@ -18,6 +18,10 @@ from . import data as data_mod
 from . import evaluation as eval_mod
 from . import plo as plo_mod
 
+# --config: every command takes it, and main reads it before the rest.
+CONFIG = argparse.ArgumentParser(prog="lkplo", add_help=False, allow_abbrev=False)
+CONFIG.add_argument("--config", default=None)
+
 
 def _load_dataset(spec, seed):
     """--data accepts either a CSV path or synth:<name>."""
@@ -36,6 +40,8 @@ def _load_dataset(spec, seed):
 
 def cmd_fit(args):
     dataset = data_mod.load_csv(args.data)
+    if args.loss == "robust_z" and not 0 < args.c < math.inf:  # unused, still checked
+        raise ValueError(f"--c must be positive and finite, got {args.c}")
     loss = plo_mod.LossSpec(args.loss, args.c if args.loss == "svm_like" else None)
     dc = plo_mod.DirectionConfig(
         n_random=args.n_random,
@@ -72,10 +78,12 @@ def cmd_score(args):
     return 0
 
 
+def _protocol(args):
+    return eval_mod.Protocol(k_folds=args.folds, n_trials=args.trials, seed=args.seed)
+
+
 def cmd_benchmark(args):
-    protocol = eval_mod.Protocol(
-        k_folds=args.folds, n_trials=args.trials, seed=args.seed
-    )
+    protocol = _protocol(args)
     dataset = _load_dataset(args.data, args.seed)
     method = eval_mod.METHODS[args.method]()
     report = eval_mod.evaluate_method(dataset, method, protocol)
@@ -85,9 +93,7 @@ def cmd_benchmark(args):
 
 
 def cmd_ablation(args):
-    protocol = eval_mod.Protocol(
-        k_folds=args.folds, n_trials=args.trials, seed=args.seed
-    )
+    protocol = _protocol(args)
     specs = args.data or [f"synth:{name}" for name in data_mod.SYNTHETIC_GENERATORS]
     datasets = [_load_dataset(spec, args.seed) for spec in specs]
     reports = eval_mod.run_ablation(datasets, protocol)
@@ -142,8 +148,15 @@ def build_parser():
         description="Two-stage localized kernel projection outlyingness",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Flags shared by several commands, declared once; -h lists them first.
+    seeded = argparse.ArgumentParser(add_help=False, parents=[CONFIG])
+    seeded.add_argument("--seed", type=int, default=42)
+    protocol = argparse.ArgumentParser(add_help=False, parents=[seeded])
+    protocol.add_argument("--folds", type=int, default=5)
+    protocol.add_argument("--trials", type=int, default=50)
+    protocol.add_argument("--out", required=True, help="report path prefix")
 
-    p = sub.add_parser("fit", help="fit a detector on a training CSV")
+    p = sub.add_parser("fit", parents=[seeded], help="fit a detector on a training CSV")
     p.add_argument("--data", required=True, help="training CSV path")
     p.add_argument("--out", required=True, help="model output path (JSON)")
     p.add_argument("--variant", choices=plo_mod.VARIANTS, default="lkplo")
@@ -156,56 +169,41 @@ def build_parser():
     p.add_argument("--include-basis", type=int, choices=(0, 1), default=1)
     p.add_argument("--n-one-point", type=int, default=None)
     p.add_argument("--n-two-points", type=int, default=None)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("score", help="score a CSV with a saved model")
+    p = sub.add_parser("score", parents=[CONFIG], help="score a CSV with a saved model")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True,
                    help="scores CSV (columns row_index,score)")
-    p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser(
-        "benchmark",
+        "benchmark", parents=[protocol],
         help="cross-validated tuned evaluation; writes <out>.json and "
         "<out>.csv (columns dataset,method,mean,std,fold_aucs)",
     )
     p.add_argument("--data", required=True, help="CSV path or synth:<name>")
     p.add_argument("--method", default="lkplo-svm",
                    choices=sorted(eval_mod.METHODS))
-    p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--out", required=True, help="report path prefix")
-    p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_benchmark)
 
     p = sub.add_parser(
-        "ablation",
+        "ablation", parents=[protocol],
         help="plo/kplo/lkplo ladder over built-in synthetics or given CSVs",
     )
     p.add_argument("--data", nargs="*", default=None,
                    help="CSV paths or synth:<name>; default: all synthetics")
-    p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--out", required=True, help="report path prefix")
-    p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_ablation)
 
-    p = sub.add_parser("gen", help="write a synthetic dataset CSV")
+    p = sub.add_parser("gen", parents=[seeded], help="write a synthetic dataset CSV")
     p.add_argument("--name", required=True,
                    choices=sorted(data_mod.SYNTHETIC_GENERATORS))
-    p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out", required=True)
-    p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser(
-        "boundary-grid",
+        "boundary-grid", parents=[CONFIG],
         help="export an (x,y,score) lattice for a 2-D model",
     )
     p.add_argument("--model", required=True)
@@ -213,7 +211,6 @@ def build_parser():
                    help="xmin,xmax,ymin,ymax")
     p.add_argument("--resolution", type=int, default=100)
     p.add_argument("--out", required=True)
-    p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_boundary_grid)
 
     return parser
@@ -239,9 +236,7 @@ def main(argv=None) -> int:
     # --config is read first, and only when spelled out (so "--c 5.0" stays
     # the margin flag); the file's flags then go before the command line's,
     # where argparse lets the last one win.
-    pre = argparse.ArgumentParser(prog="lkplo", add_help=False, allow_abbrev=False)
-    pre.add_argument("--config")
-    config = pre.parse_known_args(argv)[0].config
+    config = CONFIG.parse_known_args(argv)[0].config
     try:
         from_file = _config_flags(config, argv[0]) if config else {}
         args, extra = parser.parse_known_args(argv[:1] + list(from_file) + argv[1:])

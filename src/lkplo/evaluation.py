@@ -11,7 +11,7 @@ model is fit on, never of the evaluated rows.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Callable, Optional
 
@@ -130,7 +130,6 @@ def random_search(space: dict, n_trials: int, seed: int,
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     trials = []
-    best = None
     for t in range(n_trials):
         params = _trial_params(space, seed, t)
         try:
@@ -140,13 +139,11 @@ def random_search(space: dict, n_trials: int, seed: int,
             value = -math.inf
             error = f"{type(exc).__name__}: {exc}"
         trials.append(Trial(index=t, params=params, value=value, error=error))
-        if best is None or value > best.value:
-            best = trials[-1]
     if all(t.error is not None for t in trials):
         raise ValueError(
             f"all {n_trials} search trials failed; trial 0: {trials[0].error}"
         )
-    return best.params, trials
+    return max(trials, key=lambda t: t.value).params, trials  # max keeps the first
 
 
 # --- methods -----------------------------------------------------------------
@@ -226,23 +223,13 @@ class ExperimentReport:
     trial_logs: list
 
     def to_dict(self):
-        return {
-            "dataset": self.dataset,
-            "method": self.method,
-            "fold_aucs": self.fold_aucs,
-            "mean": self.mean,
-            "std": self.std,
-            "fold_params": self.fold_params,
-            "trials": [
-                [
-                    {"index": t.index, "params": t.params,
-                     "value": None if math.isinf(t.value) else t.value,
-                     "error": t.error}
-                    for t in fold_log
-                ]
-                for fold_log in self.trial_logs
-            ],
-        }
+        """The fields in order, with trial_logs last as "trials" and a
+        failed trial's -inf value as None (JSON null)."""
+        fields = asdict(self)
+        fields["trials"] = [
+            [dict(t, value=None if math.isinf(t["value"]) else t["value"]) for t in log]
+            for log in fields.pop("trial_logs")]
+        return fields
 
 
 class _OuterFold:
@@ -285,20 +272,6 @@ class _OuterFold:
         model = plo_fit(apply_standardizer(scaler, self.X_train),
                         self.method.config(best, self.fit_seed, len(self.X_train)))
         return model, scaler
-
-
-def _usable_cpus() -> int:
-    """usable_cpus(), or 1 in a daemonic process, which may not have
-    children. Fork is safe where the OS has an affinity call (Linux);
-    elsewhere usable_cpus() is 1."""
-    cpus = usable_cpus()
-    if cpus == 1:
-        return 1
-    import multiprocessing
-
-    if multiprocessing.current_process().daemon:
-        return 1
-    return cpus
 
 
 def _pull(unit: Callable, n_units: int, next_unit) -> dict:
@@ -352,14 +325,19 @@ def _map(unit: Callable, n_units: int) -> list:
     outcomes back over its own pipe. Outcomes are kept by index, so they
     do not depend on which process ran what.
     """
-    n_workers = min(n_units, _usable_cpus()) - 1
+    n_workers = min(n_units, usable_cpus()) - 1
     counter, workers = None, []
     if n_workers > 0:
-        # Imported here so that `lkplo score` never loads it.
-        from multiprocessing import get_context
+        # Imported here so that `lkplo score` never loads it. A daemonic
+        # process may not have children; fork is safe where the OS has an
+        # affinity call (Linux), and elsewhere usable_cpus() is 1.
+        import multiprocessing
 
-        context = get_context("fork")
-        counter = context.Value("i", 0)
+        if multiprocessing.current_process().daemon:
+            n_workers = 0
+        else:
+            context = multiprocessing.get_context("fork")
+            counter = context.Value("i", 0)
     try:
         for _ in range(n_workers):
             receive, send = context.Pipe(duplex=False)
@@ -450,11 +428,8 @@ ABLATION_METHODS = ("plo", "kplo", "lkplo-svm")
 def run_ablation(datasets, protocol: Protocol = Protocol()):
     """One report per {plo, kplo, lkplo-svm} x dataset, all under the
     same protocol and seed."""
-    reports = []
-    for dataset in datasets:
-        for name in ABLATION_METHODS:
-            reports.append(evaluate_method(dataset, METHODS[name](), protocol))
-    return reports
+    return [evaluate_method(dataset, METHODS[name](), protocol)
+            for dataset in datasets for name in ABLATION_METHODS]
 
 
 # --- report output -----------------------------------------------------------

@@ -103,6 +103,7 @@ class FitConfig:
             if getattr(self, name) < low:
                 raise ValueError(f"{name} (--{name}) must be >= {low}, "
                                  f"got {getattr(self, name)}")
+        KernelParams(self.gamma)  # checks gamma's range, whatever the variant
 
 
 def gen_directions(F_centered, config: DirectionConfig, seed: int) -> np.ndarray:

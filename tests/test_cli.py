@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -115,6 +116,17 @@ class TestFitCommand:
     def test_value_out_of_range_named(self, tmp_path, train_csv, capsys, flag, value, message):
         out = tmp_path / "m.json"
         assert run("fit", "--data", train_csv, "--out", out, flag, value) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--variant", "plo", "--gamma", "inf"], "gamma must be positive and finite, got inf"),
+        (["--loss", "robust_z", "--c", "-1"], "--c must be positive and finite, got -1.0"),
+    ])
+    def test_unused_value_out_of_range_named(self, tmp_path, train_csv, capsys, flags, message):
+        # plo uses no gamma and robust_z no c, but a bad value is still an error.
+        out = tmp_path / "m.json"
+        assert run("fit", "--data", train_csv, "--out", out, *flags) == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
 
@@ -333,6 +345,87 @@ def test_bad_command_line_named(tmp_path, capsys, argv, code, message):
     assert rc == code
     assert message in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [cfg]
+
+
+MISUSE_VALUES = ("0", "-1", "nan", "inf")
+# (command, flags set before the tested one, tested flag, the outcome at
+# each of MISUSE_VALUES): 1 is exit 1 naming the flag or its field, 2 is
+# argparse's exit 2 on a value that is no int, and 0 is exit 0 with finite
+# scores that are not all equal. Huge values are left out: a huge
+# --n-random, --resolution or --trials allocates or runs for a long time,
+# and a huge --gamma (K = I) or --c (every margin loss 0) exits 0 with
+# constant scores, open defects that ROADMAP.md lists.
+MISUSE_TABLE = [
+    ("fit", [], "--gamma", "1111"),
+    ("fit", ["--variant", "plo"], "--gamma", "1111"),
+    ("fit", [], "--q", "1122"),
+    ("fit", [], "--k", "1122"),
+    ("fit", [], "--c", "1111"),
+    ("fit", ["--loss", "robust_z"], "--c", "1111"),
+    ("fit", [], "--n-random", "0122"),
+    ("fit", [], "--n-one-point", "0122"),
+    ("fit", [], "--n-two-points", "0122"),
+    ("fit", [], "--seed", "0122"),
+    ("benchmark", [], "--folds", "1122"),
+    ("benchmark", [], "--trials", "1122"),
+    ("benchmark", [], "--seed", "0122"),
+    ("ablation", [], "--folds", "1122"),
+    ("ablation", [], "--trials", "1122"),
+    ("ablation", [], "--seed", "0122"),
+    ("gen", [], "--seed", "0122"),
+    ("boundary-grid", [], "--resolution", "1122"),
+]
+
+
+@pytest.fixture(scope="module")
+def misuse_inputs(tmp_path_factory):
+    """A 2-D training CSV and a plo model fitted on it."""
+    root = tmp_path_factory.mktemp("misuse")
+    train, model = root / "train.csv", root / "model.json"
+    save_csv(gen_three_gaussians(0), train)
+    assert run("fit", "--data", train, "--variant", "plo", "--out", model) == 0
+    return train, model
+
+
+def misuse_scores(command, out, train):
+    """What an exit-0 run wrote in out, as the numbers to check: the
+    model's training-row scores, the fold AUCs or the dataset's values."""
+    if command == "fit":
+        return score(load_model(out / "m.json"), load_csv(train).X)
+    if command == "gen":
+        return load_csv(out / "g.csv").X.ravel()
+    reports = json.loads((out / "rep.json").read_text())
+    return np.array([a for r in reports for a in r["fold_aucs"]])
+
+
+@pytest.mark.parametrize("command, before, flag, value, code", [
+    pytest.param(command, before, flag, value, int(codes[i]),
+                 id=" ".join([command, *before, flag, value]))
+    for command, before, flag, codes in MISUSE_TABLE
+    for i, value in enumerate(MISUSE_VALUES)
+])
+def test_misuse_table(tmp_path, capsys, misuse_inputs, command, before, flag, value, code):
+    train, model = misuse_inputs
+    protocol = ["--folds", "2", "--trials", "1", "--out", tmp_path / "rep"]
+    argv = {
+        "fit": ["--data", train, "--out", tmp_path / "m.json"],
+        "benchmark": ["--data", "synth:moons", "--method", "plo", *protocol],
+        "ablation": ["--data", "synth:moons", *protocol],
+        "gen": ["--name", "moons", "--out", tmp_path / "g.csv"],
+        "boundary-grid": ["--model", model, "--out", tmp_path / "grid.csv"],
+    }[command]
+    try:
+        rc = run(command, *argv, *before, flag, value)
+    except SystemExit as exc:  # argparse's usage errors
+        rc = exc.code
+    assert rc == code
+    if code == 0:
+        scores = misuse_scores(command, tmp_path, train)
+        assert np.isfinite(scores).all() and np.ptp(scores) > 0
+    else:
+        field = flag[2:].replace("-", "_")
+        assert re.search(rf"{flag}\b|\b{field}\b", capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestBoundaryGridCommand:

@@ -1,3 +1,4 @@
+import json
 import multiprocessing
 import os
 import signal
@@ -337,6 +338,31 @@ class TestEvaluateMethod:
                            r"trial 0: DegenerateDirectionsError: no usable"):
             evaluate_method(label_coded_dataset(6), METHODS["lkplo-rz"](),
                             Protocol(n_trials=2))
+
+    def test_report_file_layout(self, tmp_path, monkeypatch):
+        # The file's keys come from the report's fields, so a field added
+        # there would enter the file; this pins the layout.
+        protocol = Protocol(k_folds=2, n_trials=2, seed=0)
+        method = METHODS["plo"]()
+        failing_c = evaluation._trial_params(method.space, _derive_seed(0, 0, 2), 0)["c"]
+
+        def fit(X, config):
+            if config.loss.c == failing_c:
+                raise DegenerateDirectionsError("no usable projection directions")
+
+        monkeypatch.setattr(evaluation, "plo_fit", fit)
+        monkeypatch.setattr(evaluation, "plo_score", lambda model, X: X[:, 0])
+        report = evaluate_method(label_coded_dataset(8), method, protocol)
+        write_reports([report], str(tmp_path / "rep"))
+        [written] = json.loads((tmp_path / "rep.json").read_text())
+        assert list(written) == ["dataset", "method", "fold_aucs", "mean", "std",
+                                 "fold_params", "trials"]
+        trials = [t for log in written["trials"] for t in log]
+        assert [list(t) for t in trials] == [["index", "params", "value", "error"]] * 4
+        assert [t["value"] for t in trials] == [None, 1.0, 1.0, 1.0]
+        assert trials[0]["error"] == ("DegenerateDirectionsError: "
+                                      "no usable projection directions")
+        assert [t["error"] for t in trials[1:]] == [None] * 3
 
     def test_programming_error_in_a_trial_propagates(self, monkeypatch):
         stub_detector(monkeypatch, lambda X: X[:, "0"])
