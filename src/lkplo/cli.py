@@ -220,7 +220,7 @@ def _config_flags(path, command):
     """{--key=value flag: key} for each entry of section [command] in the
     config file at path."""
     cp = configparser.ConfigParser()
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         cp.read_file(fh)
     if not cp.has_section(command):
         return {}

@@ -197,15 +197,12 @@ def kmeans_fit(F, k: int, seed: int):
 
     FT = np.ascontiguousarray(F.T)
     group = per_block(n * max(q, k))
-    best = None
-    for start in range(0, N_INIT, group):
-        rngs = [np.random.default_rng(seed + r)
-                for r in range(start, min(start + group, N_INIT))]
-        centers, labels, inertia = _lloyd_group(F, _seed_group(F, FT, k, rngs))
-        for r in range(len(rngs)):
-            if best is None or inertia[r] < best[2]:
-                best = (centers[r], labels[r], inertia[r])
-    return best[:2]
+    rngs = [np.random.default_rng(seed + r) for r in range(N_INIT)]
+    runs = [_lloyd_group(F, _seed_group(F, FT, k, rngs[start:start + group]))
+            for start in range(0, N_INIT, group)]
+    centers, labels, inertia = (np.concatenate(part) for part in zip(*runs))
+    best = np.argmin(inertia)  # the first of equal inertias
+    return centers[best], labels[best]
 
 
 def assign_nearest(centroids, F):

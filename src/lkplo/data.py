@@ -21,14 +21,14 @@ class CsvFormatError(ValueError):
 
 
 def load_csv(path, name=None) -> Dataset:
-    """Parse a dataset CSV: header row, a mandatory 'label' column in
-    {0, 1}, all other columns numeric features (header order preserved)."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    """Parse a dataset CSV (UTF-8, with or without a BOM): header row, a
+    mandatory 'label' column in {0, 1}, all other columns numeric
+    features (header order preserved)."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvFormatError(f"{path}: empty file") from None
+        header = next(reader, None)
+        if header is None:
+            raise CsvFormatError(f"{path}: empty file")
         if "label" not in header:
             raise CsvFormatError(f"{path}: no 'label' column in header {header}")
         label_col = header.index("label")

@@ -135,7 +135,7 @@ def random_search(space: dict, n_trials: int, seed: int,
         try:
             value = float(objective(params))
             error = None
-        except (ValueError, np.linalg.LinAlgError) as exc:  # recorded, not raised
+        except ValueError as exc:  # recorded, not raised; LinAlgError is one
             value = -math.inf
             error = f"{type(exc).__name__}: {exc}"
         trials.append(Trial(index=t, params=params, value=value, error=error))
@@ -410,13 +410,12 @@ def evaluate_method(dataset: Dataset, method: Method,
     if failure is not None:
         raise failure
 
-    aucs_arr = np.asarray(aucs)
     return ExperimentReport(
         dataset=dataset.name,
         method=method.name,
-        fold_aucs=[float(a) for a in aucs],
-        mean=float(aucs_arr.mean()),
-        std=float(aucs_arr.std()),
+        fold_aucs=aucs,
+        mean=float(np.mean(aucs)),
+        std=float(np.std(aucs)),
         fold_params=bests,
         trial_logs=[trials for _, trials in searches],
     )
@@ -434,16 +433,6 @@ def run_ablation(datasets, protocol: Protocol = Protocol()):
 
 # --- report output -----------------------------------------------------------
 
-CSV_COLUMNS = "dataset,method,mean,std,fold_aucs"
-
-
-def report_to_csv_row(report: ExperimentReport) -> str:
-    folds = ";".join(repr(a) for a in report.fold_aucs)
-    return (
-        f"{report.dataset},{report.method},{report.mean!r},{report.std!r},{folds}"
-    )
-
-
 def write_reports(reports, prefix):
     """Writes <prefix>.json, with the full trial logs, and <prefix>.csv,
     the flat summary. Wall clock is deliberately not serialized so reruns
@@ -452,6 +441,7 @@ def write_reports(reports, prefix):
         json.dump([r.to_dict() for r in reports], fh, indent=2)
         fh.write("\n")
     with open(prefix + ".csv", "w", encoding="utf-8") as fh:
-        fh.write(CSV_COLUMNS + "\n")
+        fh.write("dataset,method,mean,std,fold_aucs\n")
         for r in reports:
-            fh.write(report_to_csv_row(r) + "\n")
+            folds = ";".join(repr(a) for a in r.fold_aucs)
+            fh.write(f"{r.dataset},{r.method},{r.mean!r},{r.std!r},{folds}\n")

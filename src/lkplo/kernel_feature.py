@@ -219,27 +219,25 @@ def kpca_from_gram(K, X, params: KernelParams, q_requested: int):
     # Freed before the model's arrays are allocated, so that none of them
     # sits above it in the heap and keeps its memory from the OS.
     del K
-    order = np.argsort(eigvals)[::-1]
-    eigvals = eigvals[order]
-    eigvecs = eigvecs[:, order]
 
     # Both solvers return the top subset, which holds the largest
     # eigenvalue that the rank floor is relative to.
-    floor = max(ABS_EIG_FLOOR, REL_EIG_FLOOR * max(eigvals[0], 0.0))
+    floor = max(ABS_EIG_FLOOR, REL_EIG_FLOOR * max(eigvals.max(), 0.0))
     rank = int(np.sum(eigvals > floor))
     if rank == 0:
         raise DegenerateKernelError(
             "centered Gram matrix is numerically rank zero"
         )
     q = min(q_requested, rank)
-    eigvals = eigvals[:q].copy()
-    eigvecs = eigvecs[:, :q].copy()
-
+    order = np.argsort(eigvals)[::-1][:q]
+    eigvals = eigvals[order]
+    # The column gather is F-ordered; the model's arrays are C-ordered, as
+    # a loaded model's are, because BLAS rounds K @ projection differently
+    # for the two layouts and a saved model must score as the fitted one.
+    eigvecs = np.ascontiguousarray(eigvecs[:, order])
     # Deterministic sign: largest-magnitude entry of each column positive.
-    for j in range(q):
-        col = eigvecs[:, j]
-        if col[np.argmax(np.abs(col))] < 0:
-            eigvecs[:, j] = -col
+    peak = eigvecs[np.argmax(np.abs(eigvecs), axis=0), np.arange(q)]
+    eigvecs[:, peak < 0] *= -1.0
 
     A = eigvecs / np.sqrt(eigvals)
     offset = (row_means - total_mean) @ A

@@ -85,6 +85,17 @@ class TestFitCommand:
                        "--loss", "robust_z", "--seed", seed) == 0
             assert (ref.read_bytes() == out.read_bytes()) is same
 
+    def test_config_file_with_utf8_bom(self, tmp_path, train_csv):
+        # Windows Notepad saves UTF-8 with a BOM; the file reads as without.
+        text = "[fit]\nvariant = plo\nseed = 5\nloss = robust_z\n"
+        bom, plain = tmp_path / "bom.ini", tmp_path / "plain.ini"
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        plain.write_text(text)
+        for cfg in (bom, plain):
+            assert run("fit", "--data", train_csv, "--out", cfg.with_suffix(".json"),
+                       "--config", cfg) == 0
+        assert (tmp_path / "bom.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+
     def test_config_file_supplies_required_flag(self, tmp_path, train_csv, capsys):
         cfg = tmp_path / "run.ini"
         cfg.write_text(f"[fit]\ndata = {train_csv}\nvariant = plo\nc = 4.0\n")

@@ -38,6 +38,17 @@ class TestLoadCsv:
         ds = load_csv(p)
         assert ds.y.sum() == 0
 
+    def test_utf8_bom_skipped(self, tmp_path):
+        # Excel's "CSV UTF-8" and Windows Notepad start the file with a
+        # BOM, which would otherwise be read into the first column's name.
+        text = "label,a,b\n1,7,2\n0,8,3\n"
+        p = tmp_path / "bom.csv"
+        p.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        ds = load_csv(p)
+        want = load_csv(self.write(tmp_path, text))
+        np.testing.assert_array_equal(ds.X, want.X)
+        np.testing.assert_array_equal(ds.y, [1, 0])
+
     def test_missing_label_column(self, tmp_path):
         p = self.write(tmp_path, "a,b\n1,2\n")
         with pytest.raises(CsvFormatError, match="label"):

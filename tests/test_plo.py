@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 import oracles
 from lkplo.clustering import InvalidKError, assign_nearest
 from lkplo.data import gen_three_gaussians
-from lkplo.kernel_feature import (DegenerateKernelError, KernelParams, _cross_kernel,
-                                  fit_kpca, transform)
+from lkplo.kernel_feature import (ARPACK_MIN_N, DegenerateKernelError, KernelParams,
+                                  _cross_kernel, fit_kpca, transform)
 from lkplo.plo import (
     MAD_FLOOR,
     VARIANTS,
@@ -473,14 +473,22 @@ class TestScore:
 
 class TestSerialization:
     def test_round_trip_scores_bit_identical(self, tmp_path):
-        rng = np.random.default_rng(19)
-        X = rng.standard_normal((22, 2))
-        model = fit(X, svm_config("lkplo", gamma=0.4, q=5, k=3, seed=8))
-        path = tmp_path / "model.json"
-        save_model(model, path)
-        loaded = load_model(path)
-        Xq = rng.standard_normal((35, 2))
-        np.testing.assert_array_equal(score(model, Xq), score(loaded, Xq))
+        # N = 22 takes the dense eigensolver and ARPACK_MIN_N + 40 the
+        # Lanczos one. On both, the fitted model's arrays are C-ordered as
+        # a loaded model's are: BLAS rounds K @ projection differently for
+        # an F-ordered projection.
+        for n in (22, ARPACK_MIN_N + 40):
+            rng = np.random.default_rng(19)
+            X = rng.standard_normal((n, 2))
+            model = fit(X, svm_config("lkplo", gamma=0.4, q=5, k=3, seed=8))
+            for name, value in vars(model.kpca).items():
+                if isinstance(value, np.ndarray):
+                    assert value.flags.c_contiguous, (n, name)
+            path = tmp_path / "model.json"
+            save_model(model, path)
+            loaded = load_model(path)
+            Xq = rng.standard_normal((2 * _block_rows(model) + 35, 2))
+            np.testing.assert_array_equal(score(model, Xq), score(loaded, Xq))
 
     def test_round_trip_stores_no_derived_projection(self, tmp_path):
         # The file stores the scoring map itself, A_c and the offset that

@@ -248,8 +248,9 @@ class TestKmeansAtProtocolWidth:
     def test_restarts_split_into_groups(self, monkeypatch, per_group, seed):
         # A budget of per_group restarts' widest temporaries: the default
         # 10 restarts run as several groups, and the best one may sit in
-        # any of them.
-        F = features(seed, 120, 12, 120)
+        # any of them. With 9 distinct rows and k = 9, every restart finds
+        # the same nine clusters, and so the same inertia, numbered its
+        # own way: only the first restart's labels match the oracle.
         monkeypatch.setattr(kernel_feature, "BLOCK_BYTES", per_group * 8 * 120 * 12)
         sizes = []
         lloyd_group = clustering._lloyd_group
@@ -259,8 +260,11 @@ class TestKmeansAtProtocolWidth:
             return lloyd_group(F, centers)
 
         monkeypatch.setattr(clustering, "_lloyd_group", recording)
-        assert_fit_matches_oracle(F, 9, seed, n_init=10)
-        assert sizes == [per_group] * (10 // per_group) + [10 % per_group] * (10 % per_group > 0)
+        for n_distinct in (120, 9):
+            sizes.clear()
+            assert_fit_matches_oracle(features(seed, 120, 12, n_distinct), 9, seed, n_init=10)
+            assert sizes == ([per_group] * (10 // per_group)
+                             + [10 % per_group] * (10 % per_group > 0))
 
     @pytest.mark.parametrize("max_iter", [0, 1, 2, 4])
     def test_iteration_cap(self, monkeypatch, max_iter):
