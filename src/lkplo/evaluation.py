@@ -367,8 +367,9 @@ def evaluate_method(dataset: Dataset, method: Method,
     random_search, which picks the best (ties to the earliest trial) or
     raises when all failed. Phase B refits and scores each fold's best
     params. Every seed comes from (protocol.seed, fold, trial), so the
-    report does not depend on the CPU count, and the exception raised is
-    the one a serial fold-by-fold loop would raise.
+    report does not depend on the CPU count, and neither does the error
+    raised: a failed search, lowest fold first, before any refit runs;
+    then a failed refit, lowest fold first.
     """
     classes = np.unique(dataset.y)
     if len(classes) < 2:
@@ -391,24 +392,14 @@ def evaluate_method(dataset: Dataset, method: Method,
         X_test = apply_standardizer(scaler, dataset.X[test])
         return roc_auc(plo_score(model, X_test), dataset.y[test])
 
-    outcomes = _map(trial, protocol.k_folds * n_trials)
-    # random_search draws the same params for trial t as the unit did, so
-    # each fold's objective just hands back the next outcome. The first
-    # failing fold stops the searches; the folds below it still refit, so
-    # that a refit error there is raised ahead of it, as serially.
-    searches, failure = [], None
-    for fold, outer_fold in enumerate(outer):
-        pending = iter(outcomes[fold * n_trials:(fold + 1) * n_trials])
-        try:
-            searches.append(outer_fold.search(
-                n_trials, lambda params: _raised(next(pending))))
-        except Exception as exc:  # raised after the refits below it
-            failure = exc
-            break
+    # random_search draws the same params for trial t as the unit did and
+    # takes exactly n_trials outcomes per fold, fold-major as _map returns
+    # them, so each fold's objective just hands back the next outcome.
+    outcomes = iter(_map(trial, protocol.k_folds * n_trials))
+    searches = [outer_fold.search(n_trials, lambda params: _raised(next(outcomes)))
+                for outer_fold in outer]
     bests = [best for best, _ in searches]
-    aucs = [_raised(auc) for auc in _map(refit, len(searches))]
-    if failure is not None:
-        raise failure
+    aucs = [_raised(auc) for auc in _map(refit, protocol.k_folds)]
 
     return ExperimentReport(
         dataset=dataset.name,
@@ -438,8 +429,7 @@ def write_reports(reports, prefix):
     the flat summary. Wall clock is deliberately not serialized so reruns
     are byte-identical."""
     with open(prefix + ".json", "w", encoding="utf-8") as fh:
-        json.dump([r.to_dict() for r in reports], fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps([r.to_dict() for r in reports], indent=2) + "\n")
     with open(prefix + ".csv", "w", encoding="utf-8") as fh:
         fh.write("dataset,method,mean,std,fold_aucs\n")
         for r in reports:

@@ -75,10 +75,18 @@ def usable_cpus() -> int:
 
 
 def _check_finite(X, what):
-    """Raise a ValueError naming the first row of X with a NaN or inf."""
+    """Raise a ValueError naming the first row of X with a NaN or inf, or
+    with a squared norm of at least a quarter of the largest double:
+    below that, every squared distance and inner product between two
+    rows is finite."""
     bad = ~np.isfinite(X).all(axis=1)
     if bad.any():
         raise ValueError(f"{what} row {int(np.argmax(bad))} is not finite")
+    with np.errstate(over="ignore"):  # an overflowed norm is inf, so rejected
+        huge = np.einsum("ij,ij->i", X, X) >= np.finfo(float).max / 4
+    if huge.any():
+        raise ValueError(f"{what} row {int(np.argmax(huge))} is too large: its "
+                         "squared norm reaches a quarter of the largest double")
 
 
 def _cross_kernel(X, Y, params: KernelParams) -> np.ndarray:

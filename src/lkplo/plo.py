@@ -485,8 +485,7 @@ def model_from_dict(d) -> LkploModel:
 
 def save_model(model: LkploModel, path):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh)
-        fh.write("\n")
+        fh.write(json.dumps(model_to_dict(model)) + "\n")
 
 
 def load_model(path) -> LkploModel:

@@ -207,6 +207,16 @@ class TestScoreCommand:
                  "--out", tmp_path / "s.csv")
         assert rc != 0
 
+    def test_too_large_row_fails_by_name(self, tmp_path, train_csv, capsys):
+        model_path, out = tmp_path / "m.json", tmp_path / "s.csv"
+        assert run("fit", "--data", train_csv, "--out", model_path,
+                   "--variant", "kplo") == 0
+        huge = tmp_path / "huge.csv"
+        huge.write_text("x0,x1,label\n0,0,0\n1e308,1e308,0\n")
+        assert run("score", "--model", model_path, "--data", huge, "--out", out) == 1
+        assert "input row 1 is too large" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_score_process_never_loads_scipy(self, tmp_path, train_csv):
         # Only fit's eigensolver needs scipy, and only the tuned
         # protocol's fold workers need the process machinery; a cold

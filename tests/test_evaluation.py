@@ -559,24 +559,31 @@ class TestFoldsAcrossCpus:
         assert list(runs) == [3] * n
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
-    def test_refit_error_raised_ahead_of_later_failed_search(self, monkeypatch, cpus):
-        # Fold 1's refit fails and every trial of fold 2 fails: a serial
-        # loop reaches fold 1's refit first.
+    def test_failed_search_is_raised_before_any_refit(self, monkeypatch, cpus):
+        # Fold 1's refit would fail and every trial of fold 2 fails: fold
+        # 2's search is raised, and no fold's refit fit runs. The refits
+        # may run in forked workers, so they are counted in shared memory.
         set_usable_cpus(monkeypatch, cpus)
         ds, protocol = label_coded_dataset(13), Protocol(n_trials=3)
         folds = stratified_kfold(ds.y, protocol.k_folds, protocol.seed)
+        train_rows = {_derive_seed(protocol.seed, fold, 1): np.sum(folds != fold)
+                      for fold in range(protocol.k_folds)}
+        refits = multiprocessing.get_context("fork").Value("i", 0)
 
         def fit(X, config):
-            refit = len(X) == np.sum(folds != 1)
-            if config.seed == _derive_seed(protocol.seed, 1, 1) and refit:
-                raise DegenerateDirectionsError("refit of fold 1")
-            if config.seed == _derive_seed(protocol.seed, 2, 1):
+            if len(X) == train_rows[config.seed]:
+                with refits.get_lock():
+                    refits.value += 1
+                if config.seed == _derive_seed(protocol.seed, 1, 1):
+                    raise DegenerateDirectionsError("refit of fold 1")
+            elif config.seed == _derive_seed(protocol.seed, 2, 1):
                 raise DegenerateDirectionsError("trial of fold 2")
 
         monkeypatch.setattr(evaluation, "plo_fit", fit)
         monkeypatch.setattr(evaluation, "plo_score", lambda model, X: X[:, 0])
-        with pytest.raises(DegenerateDirectionsError, match="^refit of fold 1$"):
+        with pytest.raises(ValueError, match=r"^fold 2: all 3 search trials failed"):
             evaluate_method(ds, METHODS["plo"](), protocol)
+        assert refits.value == 0
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_programming_error_propagates_past_recorded_errors(self, monkeypatch, cpus):

@@ -429,6 +429,21 @@ class TestScore:
         with pytest.raises(ValueError, match="input row 4 is not finite"):
             score(model, Xnew)
 
+    @pytest.mark.parametrize("variant", ["plo", "kplo", "lkplo"])
+    def test_too_large_row_named(self, variant):
+        # A finite row whose squared norm reaches a quarter of the largest
+        # double: the kernel's x.y would overflow, and x^2 + y^2 - 2 x.y
+        # be NaN. A row below the bound scores finite, with no warning.
+        X = np.random.default_rng(22).standard_normal((12, 2))
+        config = svm_config(variant, gamma=0.5, q=3, k=2)
+        model = fit(X, config)
+        for big in (1e308, 1e160):
+            with pytest.raises(ValueError, match="^training row 7 is too large"):
+                fit(np.insert(X, 7, big, axis=0), config)
+            with pytest.raises(ValueError, match="^input row 1 is too large"):
+                score(model, np.array([[0.0, 0.0], [big, big]]))
+        assert np.isfinite(score(model, np.array([[1e153, 1e153]]))).all()
+
     def test_rows_beyond_the_kernels_reach_share_one_score(self):
         # The benchmark's score_grid model. A row whose kernel values all
         # underflow to 0 has the feature -offset, so every such row gets
