@@ -37,7 +37,8 @@ ARPACK_MIN_N = 200
 
 
 class DegenerateKernelError(ValueError):
-    """Raised when the centered Gram matrix has no usable eigenpairs."""
+    """Raised when the centered Gram matrix has no usable eigenpairs, or
+    when its kept ones are not determined (K = I, or a short dsyevr subset)."""
 
 
 @dataclass(frozen=True)
@@ -113,7 +114,8 @@ def _cross_kernel(X, Y, params: KernelParams) -> np.ndarray:
     for s in range(0, len(K), rows):
         K[s:s + rows] += left[s:s + rows] @ right
     np.clip(K, 0.0, None, out=K)
-    K *= -params.gamma
+    with np.errstate(over="ignore"):  # -inf, whose exp is the exact 0.0
+        K *= -params.gamma
     return np.exp(K, out=K)
 
 
@@ -189,10 +191,10 @@ def kpca_from_gram(K, X, params: KernelParams, q_requested: int):
     K is centered in place. Its top min(q_requested, N) eigenpairs come
     from ARPACK's implicitly restarted Lanczos solver (scipy's eigsh) when
     N > ARPACK_MIN_N and fewer than N/10 are wanted, and otherwise, or when
-    ARPACK fails, from LAPACK's dsyevr. dsyevr can return fewer pairs than
-    asked when a cluster of equal eigenvalues straddles the subset's edge
-    (far-apart points, whose centered K is I - 1 1^T / N); the full
-    spectrum is then solved instead.
+    ARPACK fails, from LAPACK's dsyevr. A K that is I to rounding centers
+    to I - 1 1^T / N, whose eigenvalue 1 repeats N - 1 times: fewer kept
+    components would be an arbitrary basis, so that K raises
+    DegenerateKernelError, as does a subset that dsyevr returns short.
     """
     n = K.shape[0]
     if n < 2:
@@ -200,8 +202,12 @@ def kpca_from_gram(K, X, params: KernelParams, q_requested: int):
     if q_requested < 1:
         raise ValueError("q_requested must be >= 1")
     row_means, total_mean = center_gram(K)
-
     top = min(q_requested, n)
+    if top < n - 1 and total_mean == 1.0 / n:
+        raise DegenerateKernelError(
+            f"kernel map is not determined at gamma={params.gamma}: no two "
+            "training points are within the kernel's reach (K = I)")
+
     solved = None
     if n > ARPACK_MIN_N and 10 * top < n:
         solved = _lanczos(K, top)
@@ -211,18 +217,11 @@ def kpca_from_gram(K, X, params: KernelParams, q_requested: int):
 
         # dsyevr computes the eigenpairs of the top subset only, in K
         # itself: K is exactly symmetric, so K.T is the same matrix in the
-        # column-major order LAPACK works in. It destroys only the
-        # triangle it reads, diagonal included (K's upper one), so a
-        # short subset is solved again over the full spectrum from the
-        # intact lower triangle and the saved diagonal.
-        diagonal = K.diagonal().copy()
+        # column-major order LAPACK works in.
         solved = eigh(K.T, subset_by_index=[n - top, n - 1], driver="evr",
                       overwrite_a=True)
         if len(solved[0]) < top:
-            for i in range(n - 1):
-                K[i, i + 1:] = K[i + 1:, i]
-            np.fill_diagonal(K, diagonal)
-            solved = eigh(K.T, driver="evr", overwrite_a=True)
+            raise DegenerateKernelError("the top q components are not determined")
     eigvals, eigvecs = solved
     # Freed before the model's arrays are allocated, so that none of them
     # sits above it in the heap and keeps its memory from the OS.

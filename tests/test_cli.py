@@ -374,8 +374,9 @@ MISUSE_VALUES = ("0", "-1", "nan", "inf")
 # argparse's exit 2 on a value that is no int, and 0 is exit 0 with finite
 # scores that are not all equal. Huge values are left out: a huge
 # --n-random, --resolution or --trials allocates or runs for a long time,
-# and a huge --gamma (K = I) or --c (every margin loss 0) exits 0 with
-# constant scores, open defects that ROADMAP.md lists.
+# a huge --gamma (K = I) fails by name (test_fit_with_flat_kernel_fails_by_name),
+# and a huge --c (every margin loss 0) exits 0 with constant scores, an
+# open defect that ROADMAP.md lists.
 MISUSE_TABLE = [
     ("fit", [], "--gamma", "1111"),
     ("fit", ["--variant", "plo"], "--gamma", "1111"),
@@ -447,6 +448,19 @@ def test_misuse_table(tmp_path, capsys, misuse_inputs, command, before, flag, va
         field = flag[2:].replace("-", "_")
         assert re.search(rf"{flag}\b|\b{field}\b", capsys.readouterr().err)
         assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("variant", ["kplo", "lkplo"])
+def test_fit_with_flat_kernel_fails_by_name(tmp_path, capsys, misuse_inputs, variant):
+    # At gamma = 1e300 no two training rows are within the kernel's reach,
+    # so K = I and the kept components are not determined.
+    train, _ = misuse_inputs
+    out = tmp_path / "m.json"
+    assert run("fit", "--data", train, "--variant", variant, "--gamma", "1e300",
+               "--out", out) == 1
+    err = capsys.readouterr().err
+    assert "DegenerateKernelError" in err and "gamma=1e+300" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestBoundaryGridCommand:

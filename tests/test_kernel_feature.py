@@ -12,6 +12,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 import oracles
 from lkplo import kernel_feature
+from lkplo.data import gen_three_gaussians
 from lkplo.kernel_feature import (
     ARPACK_MIN_N,
     DegenerateKernelError,
@@ -256,11 +257,17 @@ class TestFitKpca:
 
 def assert_matches_full_spectrum(seed, n, d, gamma, q):
     """fit_kpca agrees with the oracle's full-spectrum solve on a random
-    (n, d) input, and keeps the same number of components."""
+    (n, d) input, and keeps the same number of components, or raises
+    where K = I to rounding leaves the kept components undetermined."""
     rng = np.random.default_rng(seed)
     X = random_matrix(rng, n, d, scale=rng.uniform(0.1, 3.0))
     params = KernelParams(gamma)
-    got, F = fit_kpca(X, params, q)
+    try:
+        got, F = fit_kpca(X, params, q)
+    except DegenerateKernelError:
+        lam = oracles.fit_kpca(X, params, n).model.eigenvalues
+        assert q < n - 1 and len(lam) == n - 1 and np.ptp(lam) <= 1e-12 * lam[0]
+        return
     want = oracles.fit_kpca(X, params, q)
     assert got.q == want.model.q
     lam = want.model.eigenvalues
@@ -296,6 +303,7 @@ class TestTopQMatchesFullSpectrum:
         st.integers(1, 63),
     )
     @example(0, 7, 2, 1.0, 20)    # q_requested > N
+    @example(4, 3, 3, 1.0, 1)     # K = I to rounding: raises
     @settings(deadline=None)
     def test_matches_full_spectrum(self, seed, n, d, gamma, q):
         assert_matches_full_spectrum(seed, n, d, gamma, q)
@@ -338,19 +346,47 @@ def copies(seed, n_copies, n_points, d, gamma):
 
 
 class TestRepeatedEigenvaluesAtTheSubsetEdge:
-    """dsyevr returns fewer pairs than its index subset asks for when a
-    cluster of equal eigenvalues straddles the subset's edge; the dense
-    path then solves the full spectrum of its copy of K."""
+    """Kept components that are part of a repeated eigenvalue are not
+    determined. K = I to rounding (no two points within the kernel's
+    reach) raises on either solver unless q >= N - 1 keeps the whole
+    eigenspace, and a subset that dsyevr returns short raises too."""
 
-    @pytest.mark.parametrize("n, q", [(8, 1), (50, 2), (200, 3)])
+    @pytest.mark.parametrize("n, q", [(8, 1), (49, 1), (50, 2), (200, 3), (250, 3)])
     def test_far_apart_points_on_a_line(self, n, q):
-        # dsyevr returns no pairs at all for these subsets.
+        # K = I; (250, 3) takes the Lanczos path. 1/49 * 49 != 1 in
+        # floating point, so N = 49 pins that the check compares t to 1/N.
+        X = np.arange(2.0 * n).reshape(n, 2) * 10
+        with pytest.raises(DegenerateKernelError, match="gamma=1.0.*kernel's reach"):
+            fit_kpca(X, KernelParams(1.0), q)
+
+    @pytest.mark.parametrize("n, q", [(2, 1), (8, 7), (8, 8)])
+    def test_far_apart_points_keeping_the_whole_eigenspace(self, n, q):
         X = np.arange(2.0 * n).reshape(n, 2) * 10
         model, F = fit_kpca(X, KernelParams(1.0), q)
-        assert model.q == q
+        assert model.q == n - 1
         np.testing.assert_allclose(model.eigenvalues, 1.0, rtol=1e-12)
         # F^T F = diag(lambda) holds V^T V = I.
         np.testing.assert_allclose(F.T @ F, np.diag(model.eigenvalues), atol=1e-12)
+
+    def test_short_dense_subset_raises(self, monkeypatch):
+        # dsyevr can return fewer pairs than its index subset asks for
+        # when a tie straddles the subset's edge; a solver that drops
+        # one pair stands in for it.
+        def short_eigh(a, **kwargs):
+            w, v = eigh(a, **kwargs)
+            return w[1:], v[:, 1:]
+
+        monkeypatch.setattr(scipy.linalg, "eigh", short_eigh)
+        X = random_matrix(np.random.default_rng(6), 20, 2)
+        with pytest.raises(DegenerateKernelError, match="top q components are not"):
+            fit_kpca(X, KernelParams(1.0), 3)
+
+    @pytest.mark.parametrize("q", [10, 478])  # Lanczos, dense
+    def test_huge_gamma_on_three_gaussians(self, q):
+        X = gen_three_gaussians(0).X
+        with pytest.raises(DegenerateKernelError, match="gamma=1e\\+300"):
+            fit_kpca(X, KernelParams(1e300), q)
+        assert fit_kpca(X, KernelParams(1e300), len(X) - 1)[0].q == len(X) - 1
 
     @given(
         st.integers(0, 10_000),
@@ -373,7 +409,14 @@ class TestRepeatedEigenvaluesAtTheSubsetEdge:
             with pytest.raises(DegenerateKernelError):
                 fit_kpca(X, params, q)
             return
-        got, F = fit_kpca(X, params, q)
+        try:
+            got, F = fit_kpca(X, params, q)
+        except DegenerateKernelError:
+            # Allowed only where the kept components are not determined:
+            # a flat spectrum, or lambda_q tied with lambda_{q+1}.
+            lam, tol = want.eigenvalues, 1e-12 * want.eigenvalues[0]
+            assert np.ptp(lam) <= tol or (q < want.q and lam[q - 1] - lam[q] <= tol)
+            return
         assert got.q == min(q, want.q)
         np.testing.assert_allclose(got.eigenvalues, want.eigenvalues[:got.q],
                                    rtol=0, atol=1e-12 * want.eigenvalues[0])
@@ -382,15 +425,13 @@ class TestRepeatedEigenvaluesAtTheSubsetEdge:
 
 
 class TestDenseSolveInPlace:
-    """The dense path solves in K itself: dsyevr destroys only the
-    triangle it reads, so a short subset is solved again from the other
-    triangle and the saved diagonal, with no second N x N array."""
+    """The dense path solves in K itself, with one dsyevr call and no
+    second N x N array."""
 
     @pytest.mark.parametrize("X, gamma, q", [
         (random_matrix(np.random.default_rng(3), 300, 3), 0.5, 40),
         (random_matrix(np.random.default_rng(4), 50, 2), 1.0, 50),
-        (np.arange(400.0).reshape(200, 2) * 10, 1.0, 3),  # short subset
-    ], ids=["subset", "all-pairs", "short-subset"])
+    ], ids=["subset", "all-pairs"])
     def test_eigenpairs_equal_the_copying_path(self, monkeypatch, X, gamma, q):
         in_place = fit_kpca(X, KernelParams(gamma), q)
         calls = []
@@ -401,8 +442,7 @@ class TestDenseSolveInPlace:
 
         monkeypatch.setattr(scipy.linalg, "eigh", eigh_on_a_copy)
         assert_same_fit(fit_kpca(X, KernelParams(gamma), q), in_place)
-        # The short subset is solved again over the full spectrum.
-        assert len(calls) == (2 if q == 3 else 1)
+        assert len(calls) == 1
 
     def test_fit_holds_one_gram_sized_array(self):
         n = 1000

@@ -444,6 +444,19 @@ class TestScore:
                 score(model, np.array([[0.0, 0.0], [big, big]]))
         assert np.isfinite(score(model, np.array([[1e153, 1e153]]))).all()
 
+    @pytest.mark.parametrize("variant", ["kplo", "lkplo"])
+    def test_kernel_overflow_at_large_gamma_is_zero(self, variant):
+        # At gamma = 10 the exponent of a row below the size bound
+        # overflows to -inf, whose exp is the exact 0.0: the row is beyond
+        # the kernel's reach, as (1e6, 1e6) is, with no warning, in a
+        # score or in a fit that holds it.
+        X = np.random.default_rng(23).standard_normal((12, 2))
+        config = svm_config(variant, gamma=10.0, q=3, k=2)
+        model = fit(X, config)
+        far = score(model, np.array([[4e153, 4e153], [1e6, 1e6]]))
+        assert far[0] == far[1]
+        fit(np.insert(X, 7, 4e153, axis=0), config)
+
     def test_rows_beyond_the_kernels_reach_share_one_score(self):
         # The benchmark's score_grid model. A row whose kernel values all
         # underflow to 0 has the feature -offset, so every such row gets
