@@ -60,6 +60,9 @@ def cmd_fit(args):
     )
     model = plo_mod.fit(dataset.X, config)
     plo_mod.save_model(model, args.out)
+    if loss.kind == "svm_like" and not plo_mod.score(model, dataset.X).any():
+        print(f"warning: every training row scores 0: --c {args.c} puts the margin "
+              "c * MAD beyond every training projection", file=sys.stderr)
     n_dirs = sum(len(u) for u in model.directions)
     k, q = model.centroids.shape
     print(f"fit variant={model.variant} q={q} k={k} directions={n_dirs} -> {args.out}")

@@ -9,12 +9,16 @@ Restarts run in groups of per_block(N * max(q, k)) on arrays with a
 leading restart axis, so one numpy call serves every restart of a group.
 Each restart computes what it would alone: the same RNG draws, the same
 products, and the same sums in the same order, except for the seeding
-distances noted in _seed_group.
+distances noted in _seed_group. The groups are the work items of
+kernel_feature.run_blocks, on one thread per full BLOCK_BYTES block of
+all the restarts' temporaries, at most one per usable CPU. A group
+reads only its own restarts' generators and its result is stored by
+group index, so the answer does not depend on the thread count.
 """
 
 import numpy as np
 
-from .kernel_feature import _check_finite, per_block
+from .kernel_feature import _check_finite, fit_threads, per_block, run_blocks
 
 N_INIT = 10
 MAX_ITER = 300
@@ -196,10 +200,17 @@ def kmeans_fit(F, k: int, seed: int):
     _check_finite(F, "F")
 
     FT = np.ascontiguousarray(F.T)
-    group = per_block(n * max(q, k))
+    width = n * max(q, k)
+    group = per_block(width)
     rngs = [np.random.default_rng(seed + r) for r in range(N_INIT)]
-    runs = [_lloyd_group(F, _seed_group(F, FT, k, rngs[start:start + group]))
-            for start in range(0, N_INIT, group)]
+    starts = range(0, N_INIT, group)
+    runs = [None] * len(starts)
+
+    def run(i):
+        mine = rngs[starts[i]:starts[i] + group]
+        runs[i] = _lloyd_group(F, _seed_group(F, FT, k, mine))
+
+    run_blocks(len(starts), run, fit_threads(8 * N_INIT * width))
     centers, labels, inertia = (np.concatenate(part) for part in zip(*runs))
     best = np.argmin(inertia)  # the first of equal inertias
     return centers[best], labels[best]

@@ -18,6 +18,7 @@ fit computes A_c and the offset once, and the model keeps only them.
 """
 
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +76,60 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
+def fit_threads(nbytes: int) -> int:
+    """Threads for a fit stage whose temporaries take nbytes: one per
+    full BLOCK_BYTES block, at most usable_cpus(). A stage under two
+    full blocks runs on the calling thread alone. At q, k <= 30 that is
+    every stage of a fit on fewer than 512 rows, such as the tuned
+    protocol's fits on the benchmark's data, whose worker processes
+    already use every CPU."""
+    return min(usable_cpus(), nbytes // BLOCK_BYTES)
+
+
+def run_blocks(n_blocks: int, work, n_threads: int):
+    """Call work(i) once for each i in range(n_blocks), on the calling
+    thread and min(n_blocks, n_threads) - 1 more, which all pull the
+    next index from one shared iterator; numpy's large loops and BLAS
+    release the GIL. work(i) must write its results where its caller
+    reads them by i, so they do not depend on which thread ran it.
+    After a block fails no further block starts, and once every thread
+    is joined the lowest failed block's exception is raised.
+    """
+    blocks = iter(range(n_blocks))
+    lock = threading.Lock()
+    failed = {}
+
+    def stop():  # hand out no further block
+        with lock:
+            for _ in blocks:
+                pass
+
+    def pull():
+        while True:
+            with lock:
+                i = next(blocks, None)
+            if i is None:
+                return
+            try:
+                work(i)
+            except Exception as exc:  # raised by the caller, see below
+                failed[i] = exc
+                stop()
+
+    threads = [threading.Thread(target=pull) for _ in range(min(n_blocks, n_threads) - 1)]
+    try:
+        for thread in threads:
+            thread.start()
+        pull()
+    finally:
+        stop()
+        for thread in threads:
+            if thread.ident is not None:  # started
+                thread.join()
+    if failed:
+        raise failed[min(failed)]
+
+
 def _check_finite(X, what):
     """Raise a ValueError naming the first row of X with a NaN or inf, or
     with a squared norm of at least a quarter of the largest double:
@@ -90,41 +145,69 @@ def _check_finite(X, what):
                          "squared norm reaches a quarter of the largest double")
 
 
-def _cross_kernel(X, Y, params: KernelParams) -> np.ndarray:
-    """RBF kernel evaluations between the rows of X (M, d) and Y (N, d);
-    symmetric wherever X @ Y.T is.
+def _norm_factors(X, Y):
+    """[x^2, 1] (M, 2) and [1; y^2] (2, N) for the rows of X and Y."""
+    left = np.ones((len(X), 2))
+    left[:, 0] = (X * X).sum(axis=1)
+    right = np.ones((2, len(Y)))
+    right[1] = (Y * Y).sum(axis=1)
+    return left, right
+
+
+def _rbf_in_place(K, left, right, gamma):
+    """Turn the inner products K = X @ Y.T of a row slab into its RBF
+    kernel values, exp(-gamma * max(0, x^2 + y^2 - 2 x.y)), in place;
+    left and right are _norm_factors of the slab's rows and of Y.
 
     The squared norms x_i^2 + y_j^2 come from the rank-2 product
     [x^2, 1] @ [1; y^2], whose entries x_i^2 * 1 + 1 * y_j^2 are exact
     products summed with one rounding: the same doubles as the broadcast
     sum, with or without FMA, from one BLAS call per chunk. A chunk is
     an eighth of a score block, per_block(8 * len(Y)) rows, so that the
-    product's temporary adds little to each scoring thread's block; the
-    add is elementwise, so the chunking changes no value.
+    product's temporary adds little to each scoring thread's block.
+    Every step is elementwise, so neither the chunks nor the slabs
+    change a value.
     """
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    left = np.ones((len(X), 2))
-    left[:, 0] = (X * X).sum(axis=1)
-    right = np.ones((2, len(Y)))
-    right[1] = (Y * Y).sum(axis=1)
-    K = X @ Y.T
     K *= -2.0
-    rows = per_block(8 * len(Y))
+    rows = per_block(8 * K.shape[1])
     for s in range(0, len(K), rows):
         K[s:s + rows] += left[s:s + rows] @ right
     np.clip(K, 0.0, None, out=K)
     with np.errstate(over="ignore"):  # -inf, whose exp is the exact 0.0
-        K *= -params.gamma
-    return np.exp(K, out=K)
+        K *= -gamma
+    np.exp(K, out=K)
+
+
+def _cross_kernel(X, Y, params: KernelParams) -> np.ndarray:
+    """RBF kernel evaluations between the rows of X (M, d) and Y (N, d),
+    on the calling thread; symmetric wherever X @ Y.T is."""
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    K = X @ Y.T
+    _rbf_in_place(K, *_norm_factors(X, Y), params.gamma)
+    return K
 
 
 def gram_matrix(X, params: KernelParams) -> np.ndarray:
     """N x N RBF Gram matrix with unit diagonal. It is exactly symmetric
     because numpy computes X @ X.T for a C-contiguous X as a symmetric
-    rank-k update (a strided X may take a general, asymmetric product)."""
+    rank-k update (a strided X may take a general, asymmetric product).
+
+    That product is one BLAS call; the elementwise rest runs on row
+    slabs of per_block(N) rows, one slab per work item of run_blocks on
+    fit_threads(K.nbytes) threads. A slab's values do not depend on the
+    thread or on the slab bounds, so K is the same at any CPU count.
+    """
     X = np.ascontiguousarray(X, dtype=float)
-    K = _cross_kernel(X, X, params)
+    K = X @ X.T
+    left, right = _norm_factors(X, X)
+    rows = per_block(len(K))
+
+    def slab(i):
+        s = slice(i * rows, (i + 1) * rows)
+        _rbf_in_place(K[s], left[s], right, params.gamma)
+
+    run_blocks(-(-len(K) // rows), slab, fit_threads(K.nbytes))
     np.fill_diagonal(K, 1.0)
     return K
 
@@ -132,14 +215,37 @@ def gram_matrix(X, params: KernelParams) -> np.ndarray:
 def center_gram(K):
     """Double-center the symmetric K in place, K_ij - (r_i + r_j) + t,
     which keeps it exactly symmetric. Returns the row means r and the
-    mean t, which center out-of-sample kernel rows consistently."""
-    row_means = K.mean(axis=1)
-    total_mean = float(K.mean())
-    rows = per_block(len(K))
-    for s in range(0, len(K), rows):
-        chunk = K[s:s + rows]
-        chunk -= row_means[s:s + rows, None] + row_means
+    mean t, which center out-of-sample kernel rows consistently.
+
+    t is one whole-array K.mean(), work item 0 of the first run_blocks
+    pass; the row means come by slabs of per_block(N) rows in the same
+    pass, and the subtraction by the same slabs in a second one, both on
+    fit_threads(K.nbytes) threads. A row's mean is the same double
+    whichever slab holds it, so r, t and K are the same at any CPU count.
+    """
+    n = len(K)
+    rows = per_block(n)
+    slabs = -(-n // rows)
+    threads = fit_threads(K.nbytes)
+    row_means = np.empty(n)
+    total_mean = None
+
+    def means(i):  # item 0 is t, item i > 0 the row means of slab i - 1
+        nonlocal total_mean
+        if i == 0:
+            total_mean = float(K.mean())
+        else:
+            s = slice((i - 1) * rows, i * rows)
+            row_means[s] = K[s].mean(axis=1)
+
+    def subtract(i):
+        s = slice(i * rows, (i + 1) * rows)
+        chunk = K[s]
+        chunk -= row_means[s, None] + row_means
         chunk += total_mean
+
+    run_blocks(slabs + 1, means, threads)
+    run_blocks(slabs, subtract, threads)
     return row_means, total_mean
 
 

@@ -12,7 +12,6 @@ its candidates and two row-wise sorts, and gives np.median's bits.
 
 import json
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from .clustering import assign_nearest, kmeans_fit
 from .kernel_feature import (KernelParams, KpcaModel, _check_finite, fit_kpca,
-                             per_block, transform, usable_cpus)
+                             per_block, run_blocks, transform, usable_cpus)
 
 MAD_CONSISTENCY = 1.4826
 # Robust-Z divides by the MAD, which is 0 for constant projections; the
@@ -279,13 +278,13 @@ def score(model: LkploModel, Xnew) -> np.ndarray:
 
     Rows are scored in blocks of _block_rows(model), so working memory is
     O(kernel_feature.BLOCK_BYTES) per thread whatever the batch size. The
-    caller and min(blocks, usable CPUs) - 1 threads pull the next block
-    from one shared iterator, and each writes its block's scores into its
-    own slice of the output; numpy's large loops and BLAS release the GIL.
-    A block computes the same doubles on any thread, so the scores do not
-    depend on the CPU count, and a one-block batch starts no thread. After
-    a block fails no further block starts, and once every thread is
-    joined the lowest failed block's exception is raised.
+    blocks go through kernel_feature.run_blocks on min(blocks, usable
+    CPUs) threads, the caller included, each block writing its scores
+    into its own slice of the output. A block computes the same doubles
+    on any thread, so the scores do not depend on the CPU count, and a
+    one-block batch starts no thread. After a block fails no further
+    block starts, and once every thread is joined the lowest failed
+    block's exception is raised.
 
     A batch of at most one block is bit-identical to an unblocked pass;
     larger batches agree with it to rounding, because BLAS rounds a
@@ -297,41 +296,12 @@ def score(model: LkploModel, Xnew) -> np.ndarray:
     _check_finite(Xnew, "input")
     rows = _block_rows(model)
     out = np.empty(Xnew.shape[0])
-    blocks = range(0, len(out), rows)
-    starts = iter(blocks)
-    lock = threading.Lock()
-    failed = {}
 
-    def stop():  # hand out no further block
-        with lock:
-            for _ in starts:
-                pass
+    def block(i):
+        s = slice(i * rows, (i + 1) * rows)
+        out[s] = _score_block(model, Xnew[s])
 
-    def pull():
-        while True:
-            with lock:
-                s = next(starts, None)
-            if s is None:
-                return
-            try:
-                out[s:s + rows] = _score_block(model, Xnew[s:s + rows])
-            except Exception as exc:  # raised by the caller, see below
-                failed[s] = exc
-                stop()
-
-    n_threads = min(len(blocks), usable_cpus())
-    threads = [threading.Thread(target=pull) for _ in range(n_threads - 1)]
-    try:
-        for thread in threads:
-            thread.start()
-        pull()
-    finally:
-        stop()
-        for thread in threads:
-            if thread.ident is not None:  # started
-                thread.join()
-    if failed:
-        raise failed[min(failed)]
+    run_blocks(-(-len(out) // rows), block, usable_cpus())
     return out
 
 

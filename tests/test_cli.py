@@ -61,6 +61,25 @@ class TestFitCommand:
         assert rc != 0
         assert "InvalidKError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("c", ["1e6", None])
+    def test_all_zero_training_scores_name_c(self, tmp_path, train_csv, capsys, c):
+        # A margin beyond every training projection scores each training
+        # row 0. That fit still exits 0 and writes the model it always
+        # wrote, and says so on stderr; the default c writes nothing there.
+        out = tmp_path / "m.json"
+        flags = [] if c is None else ["--c", c]
+        assert run("fit", "--data", train_csv, "--out", out, *flags) == 0
+        err = capsys.readouterr().err
+        config = FitConfig(variant="lkplo", loss=LossSpec("svm_like", 2.0 if c is None else 1e6),
+                           seed=42)
+        model = fit(load_csv(train_csv).X, config)
+        assert out.read_text() == json.dumps(model_to_dict(model)) + "\n"
+        if c is None:
+            assert err == ""
+        else:
+            assert not score(model, load_csv(train_csv).X).any()
+            assert len(err.splitlines()) == 1 and "--c 1000000.0" in err
+
     def test_byte_identical_reruns(self, tmp_path, train_csv):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         args = ["fit", "--data", train_csv, "--variant", "lkplo",

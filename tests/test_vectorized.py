@@ -26,6 +26,7 @@ from lkplo.kernel_feature import (
     REL_EIG_FLOOR,
     KernelParams,
     _cross_kernel,
+    center_gram,
     gram_matrix,
     per_block,
     transform,
@@ -44,7 +45,7 @@ from lkplo.plo import (
     model_to_dict,
     score,
 )
-from test_evaluation import set_usable_cpus
+from test_evaluation import deadline, set_usable_cpus  # noqa: F401 (a fixture)
 
 
 def features(seed, n, q, n_distinct):
@@ -251,20 +252,22 @@ class TestKmeansAtProtocolWidth:
         # any of them. With 9 distinct rows and k = 9, every restart finds
         # the same nine clusters, and so the same inertia, numbered its
         # own way: only the first restart's labels match the oracle.
+        # The groups may run on threads and finish in any order, so each
+        # group's size is recorded by its first restart index, which its
+        # first generator's seed gives.
         monkeypatch.setattr(kernel_feature, "BLOCK_BYTES", per_group * 8 * 120 * 12)
-        sizes = []
-        lloyd_group = clustering._lloyd_group
+        sizes = {}
+        seed_group = clustering._seed_group
 
-        def recording(F, centers):
-            sizes.append(len(centers))
-            return lloyd_group(F, centers)
+        def recording(F, FT, k, rngs):
+            sizes[rngs[0].bit_generator.seed_seq.entropy - seed] = len(rngs)
+            return seed_group(F, FT, k, rngs)
 
-        monkeypatch.setattr(clustering, "_lloyd_group", recording)
+        monkeypatch.setattr(clustering, "_seed_group", recording)
         for n_distinct in (120, 9):
             sizes.clear()
             assert_fit_matches_oracle(features(seed, 120, 12, n_distinct), 9, seed, n_init=10)
-            assert sizes == ([per_group] * (10 // per_group)
-                             + [10 % per_group] * (10 % per_group > 0))
+            assert sizes == {r: min(per_group, 10 - r) for r in range(0, 10, per_group)}
 
     @pytest.mark.parametrize("max_iter", [0, 1, 2, 4])
     def test_iteration_cap(self, monkeypatch, max_iter):
@@ -833,3 +836,106 @@ def test_fit_is_the_same_at_any_block_budget(monkeypatch):
     assert per_block(len(X)) == 2 and per_block(len(X) * 10) == 1
     got = model_to_dict(fit(X, config))
     assert [key for key in want if json.dumps(got[key]) != json.dumps(want[key])] == []
+
+
+class TestFitThreads:
+    """A fit stage runs its blocks through run_blocks on one thread per
+    full BLOCK_BYTES block of its temporaries, at most one per usable
+    CPU; a block computes the same doubles on any thread."""
+
+    def test_same_bits_at_any_cpu_count(self, monkeypatch, deadline):
+        # At 64 KiB a 300-row Gram is 10 full blocks in 12 slabs of 27
+        # rows, and the k-means restarts (q = 10, k = 5) 3 full blocks in
+        # 5 groups of 2, so 2 and 3 CPUs start threads in every stage.
+        monkeypatch.setattr(kernel_feature, "BLOCK_BYTES", 64 << 10)
+        X = gen_three_gaussians(1).X[:300]
+        params = KernelParams(0.5)
+        F = features(5, 300, 10, 300)
+        config = FitConfig(variant="lkplo", loss=LossSpec("svm_like", 2.0),
+                           gamma=0.5, q=10, k=5, seed=4)
+
+        def centered():
+            K = gram_matrix(X, params)
+            return (K, *center_gram(K))
+
+        started = []
+        start = threading.Thread.start
+
+        def counting(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting)
+        results = {}
+        for cpus in (1, 2, 3):
+            set_usable_cpus(monkeypatch, cpus)
+            stages = []
+            for stage in (lambda: gram_matrix(X, params), centered,
+                          lambda: kmeans_fit(F, 5, 7),
+                          lambda: json.dumps(model_to_dict(fit(X, config)))):
+                started.clear()
+                stages.append(stage())
+                assert bool(started) == (cpus > 1), (cpus, len(stages))
+            results[cpus] = stages
+        K, (Kc, r, t), (centroids, labels), model = results[1]
+        for cpus in (2, 3):
+            got_K, (got_Kc, got_r, got_t), (got_centroids, got_labels), got_model = results[cpus]
+            assert np.array_equal(got_K, K)
+            assert np.array_equal(got_Kc, Kc) and np.array_equal(got_r, r) and got_t == t
+            assert np.array_equal(got_centroids, centroids)
+            assert np.array_equal(got_labels, labels)
+            assert got_model == model
+
+    @pytest.mark.parametrize("n, q, k, threaded", [
+        (384, 30, 30, False),   # tuned_cv's refits at their widest
+        (480, 20, 10, False),   # score_grid's and cli_score's set-up fit
+        (960, 20, 10, True),    # a Gram of 7 full blocks
+    ])
+    def test_thread_only_from_two_full_blocks(self, monkeypatch, deadline, n, q, k, threaded):
+        def no_start(thread):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", no_start)
+        set_usable_cpus(monkeypatch, 4)
+        X = np.vstack([gen_three_gaussians(s).X for s in (0, 1)])[:n]
+        config = FitConfig(variant="lkplo", loss=LossSpec("svm_like", 2.0),
+                           gamma=0.5, q=q, k=k, seed=0)
+        threads = threading.active_count()
+        if threaded:
+            with pytest.raises(AssertionError, match="a thread was started"):
+                fit(X, config)
+        else:
+            fit(X, config)
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_lowest_failing_group_is_raised(self, monkeypatch, deadline, cpus):
+        # Four groups of at most 3 restarts, 3 full blocks. Group 3 fails
+        # at once and group 1 only after a pause, so with threads both
+        # fail and group 1's error must win over the first one recorded.
+        # A group is known by its seeding centres, which are the same on
+        # any thread.
+        n, q, k, seed = 120, 12, 9, 3
+        monkeypatch.setattr(kernel_feature, "BLOCK_BYTES", 3 * 8 * n * q)
+        F = features(seed, n, q, n)
+        FT = np.ascontiguousarray(F.T)
+        group_of = {}
+        for g, s in enumerate(range(0, 10, 3)):
+            rngs = [np.random.default_rng(seed + r) for r in range(s, min(s + 3, 10))]
+            group_of[_seed_group(F, FT, k, rngs).tobytes()] = g
+        lloyd_group = clustering._lloyd_group
+
+        def failing(F, centers):
+            g = group_of[centers.tobytes()]
+            if g == 1:
+                time.sleep(0.2)
+            if g in (1, 3):
+                raise ValueError(f"group {g}")
+            return lloyd_group(F, centers)
+
+        monkeypatch.setattr(clustering, "_lloyd_group", failing)
+        set_usable_cpus(monkeypatch, cpus)
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match="^group 1$"):
+            kmeans_fit(F, k, seed)
+        assert threading.active_count() == threads
