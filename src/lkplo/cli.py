@@ -61,8 +61,10 @@ def cmd_fit(args):
     model = plo_mod.fit(dataset.X, config)
     plo_mod.save_model(model, args.out)
     if loss.kind == "svm_like" and not plo_mod.score(model, dataset.X).any():
-        print(f"warning: every training row scores 0: --c {args.c} puts the margin "
-              "c * MAD beyond every training projection", file=sys.stderr)
+        cause = (f"--c {args.c} puts the margin c * MAD beyond every training projection"
+                 if any(mad.any() for mad in model.mads) else
+                 "no training projection varies (every MAD is 0), whatever c is")
+        print(f"warning: every training row scores 0: {cause}", file=sys.stderr)
     n_dirs = sum(len(u) for u in model.directions)
     k, q = model.centroids.shape
     print(f"fit variant={model.variant} q={q} k={k} directions={n_dirs} -> {args.out}")

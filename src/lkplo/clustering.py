@@ -5,20 +5,19 @@ lowest-inertia run, and empty-cluster repair so every surviving
 cluster has at least one member (the 1/N_k score weighting requires
 N_k >= 1).
 
-Restarts run in groups of per_block(N * max(q, k)) on arrays with a
-leading restart axis, so one numpy call serves every restart of a group.
-Each restart computes what it would alone: the same RNG draws, the same
-products, and the same sums in the same order, except for the seeding
-distances noted in _seed_group. The groups are the work items of
-kernel_feature.run_blocks, on one thread per full BLOCK_BYTES block of
-all the restarts' temporaries, at most one per usable CPU. A group
-reads only its own restarts' generators and its result is stored by
-group index, so the answer does not depend on the thread count.
+Restarts run in groups, the slabs of kernel_feature.run_blocks over
+N_INIT rows of width N * max(q, k), on arrays with a leading restart
+axis, so one numpy call serves every restart of a group. Each restart
+computes what it would alone: the same RNG draws, the same products,
+and the same sums in the same order, except for the seeding distances
+noted in _seed_group. A group reads only its own restarts' generators
+and writes only their rows of the results, so the answer does not
+depend on the thread count.
 """
 
 import numpy as np
 
-from .kernel_feature import _check_finite, fit_threads, per_block, run_blocks
+from .kernel_feature import _check_finite, run_blocks
 
 N_INIT = 10
 MAX_ITER = 300
@@ -200,18 +199,15 @@ def kmeans_fit(F, k: int, seed: int):
     _check_finite(F, "F")
 
     FT = np.ascontiguousarray(F.T)
-    width = n * max(q, k)
-    group = per_block(width)
     rngs = [np.random.default_rng(seed + r) for r in range(N_INIT)]
-    starts = range(0, N_INIT, group)
-    runs = [None] * len(starts)
+    centers = np.empty((N_INIT, k, q))
+    labels = np.empty((N_INIT, n), dtype=np.intp)
+    inertia = np.empty(N_INIT)
 
-    def run(i):
-        mine = rngs[starts[i]:starts[i] + group]
-        runs[i] = _lloyd_group(F, _seed_group(F, FT, k, mine))
+    def run(s):
+        centers[s], labels[s], inertia[s] = _lloyd_group(F, _seed_group(F, FT, k, rngs[s]))
 
-    run_blocks(len(starts), run, fit_threads(8 * N_INIT * width))
-    centers, labels, inertia = (np.concatenate(part) for part in zip(*runs))
+    run_blocks(N_INIT, n * max(q, k), run)
     best = np.argmin(inertia)  # the first of equal inertias
     return centers[best], labels[best]
 

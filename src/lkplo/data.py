@@ -31,6 +31,8 @@ def load_csv(path, name=None) -> Dataset:
             raise CsvFormatError(f"{path}: empty file")
         if "label" not in header:
             raise CsvFormatError(f"{path}: no 'label' column in header {header}")
+        if header.count("label") > 1:
+            raise CsvFormatError(f"{path}: column 'label' repeats in header {header}")
         label_col = header.index("label")
         feat_cols = [i for i in range(len(header)) if i != label_col]
 

@@ -76,47 +76,42 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def fit_threads(nbytes: int) -> int:
-    """Threads for a fit stage whose temporaries take nbytes: one per
-    full BLOCK_BYTES block, at most usable_cpus(). A stage under two
-    full blocks runs on the calling thread alone. At q, k <= 30 that is
-    every stage of a fit on fewer than 512 rows, such as the tuned
-    protocol's fits on the benchmark's data, whose worker processes
-    already use every CPU."""
-    return min(usable_cpus(), nbytes // BLOCK_BYTES)
-
-
-def run_blocks(n_blocks: int, work, n_threads: int):
-    """Call work(i) once for each i in range(n_blocks), on the calling
-    thread and min(n_blocks, n_threads) - 1 more, which all pull the
-    next index from one shared iterator; numpy's large loops and BLAS
-    release the GIL. work(i) must write its results where its caller
-    reads them by i, so they do not depend on which thread ran it.
-    After a block fails no further block starts, and once every thread
-    is joined the lowest failed block's exception is raised.
+def run_blocks(n_rows: int, width: int, work):
+    """Call work(s) once for each slab s = slice(start, start + rows) of
+    range(n_rows), rows = per_block(width), on min(usable CPUs, full
+    BLOCK_BYTES blocks in n_rows * width doubles) threads, the caller
+    included, which pull the next slab from one shared iterator; numpy's
+    large loops and BLAS release the GIL. Under two full blocks, as in
+    every fit of the tuned protocol (whose worker processes already use
+    every CPU), no thread starts. work must write its results where its
+    caller reads them by slab, so they do not depend on which thread ran
+    it. After a slab fails no further slab starts, and once every thread
+    is joined the lowest failed slab's exception is raised.
     """
-    blocks = iter(range(n_blocks))
+    rows = per_block(width)
+    n_threads = min(usable_cpus(), 8 * n_rows * width // BLOCK_BYTES)
+    pending = iter(range(0, n_rows, rows))
     lock = threading.Lock()
     failed = {}
 
-    def stop():  # hand out no further block
+    def stop():  # hand out no further slab
         with lock:
-            for _ in blocks:
+            for _ in pending:
                 pass
 
     def pull():
         while True:
             with lock:
-                i = next(blocks, None)
-            if i is None:
+                start = next(pending, None)
+            if start is None:
                 return
             try:
-                work(i)
+                work(slice(start, start + rows))
             except Exception as exc:  # raised by the caller, see below
-                failed[i] = exc
+                failed[start] = exc
                 stop()
 
-    threads = [threading.Thread(target=pull) for _ in range(min(n_blocks, n_threads) - 1)]
+    threads = [threading.Thread(target=pull) for _ in range(n_threads - 1)]
     try:
         for thread in threads:
             thread.start()
@@ -193,21 +188,15 @@ def gram_matrix(X, params: KernelParams) -> np.ndarray:
     because numpy computes X @ X.T for a C-contiguous X as a symmetric
     rank-k update (a strided X may take a general, asymmetric product).
 
-    That product is one BLAS call; the elementwise rest runs on row
-    slabs of per_block(N) rows, one slab per work item of run_blocks on
-    fit_threads(K.nbytes) threads. A slab's values do not depend on the
-    thread or on the slab bounds, so K is the same at any CPU count.
+    That product is one BLAS call; the elementwise rest runs on the row
+    slabs of run_blocks. A slab's values do not depend on the thread or
+    on the slab bounds, so K is the same at any CPU count.
     """
     X = np.ascontiguousarray(X, dtype=float)
     K = X @ X.T
     left, right = _norm_factors(X, X)
-    rows = per_block(len(K))
-
-    def slab(i):
-        s = slice(i * rows, (i + 1) * rows)
-        _rbf_in_place(K[s], left[s], right, params.gamma)
-
-    run_blocks(-(-len(K) // rows), slab, fit_threads(K.nbytes))
+    run_blocks(len(K), len(K),
+               lambda s: _rbf_in_place(K[s], left[s], right, params.gamma))
     np.fill_diagonal(K, 1.0)
     return K
 
@@ -217,35 +206,29 @@ def center_gram(K):
     which keeps it exactly symmetric. Returns the row means r and the
     mean t, which center out-of-sample kernel rows consistently.
 
-    t is one whole-array K.mean(), work item 0 of the first run_blocks
-    pass; the row means come by slabs of per_block(N) rows in the same
-    pass, and the subtraction by the same slabs in a second one, both on
-    fit_threads(K.nbytes) threads. A row's mean is the same double
-    whichever slab holds it, so r, t and K are the same at any CPU count.
+    The row means come by the row slabs of one run_blocks pass, t as one
+    whole-array K.mean() in the slab that starts at row 0, and the
+    subtraction by the same slabs in a second pass. A row's mean is the
+    same double whichever slab holds it, so r, t and K are the same at
+    any CPU count.
     """
     n = len(K)
-    rows = per_block(n)
-    slabs = -(-n // rows)
-    threads = fit_threads(K.nbytes)
     row_means = np.empty(n)
     total_mean = None
 
-    def means(i):  # item 0 is t, item i > 0 the row means of slab i - 1
+    def means(s):
         nonlocal total_mean
-        if i == 0:
+        if s.start == 0:
             total_mean = float(K.mean())
-        else:
-            s = slice((i - 1) * rows, i * rows)
-            row_means[s] = K[s].mean(axis=1)
+        row_means[s] = K[s].mean(axis=1)
 
-    def subtract(i):
-        s = slice(i * rows, (i + 1) * rows)
+    def subtract(s):
         chunk = K[s]
         chunk -= row_means[s, None] + row_means
         chunk += total_mean
 
-    run_blocks(slabs + 1, means, threads)
-    run_blocks(slabs, subtract, threads)
+    run_blocks(n, n, means)
+    run_blocks(n, n, subtract)
     return row_means, total_mean
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .clustering import assign_nearest, kmeans_fit
 from .kernel_feature import (KernelParams, KpcaModel, _check_finite, fit_kpca,
-                             per_block, run_blocks, transform, usable_cpus)
+                             run_blocks, transform)
 
 MAD_CONSISTENCY = 1.4826
 # Robust-Z divides by the MAD, which is 0 for constant projections; the
@@ -243,15 +243,15 @@ def fit(X, config: FitConfig) -> LkploModel:
     )
 
 
-def _block_rows(model: LkploModel) -> int:
-    """Rows per score block: per_block of the widest per-row temporary,
-    the training size N (kernel rows), the direction count D
-    (projections) or k * q (assignment differences)."""
+def _block_width(model: LkploModel) -> int:
+    """The widest per-row temporary of a score block: the training size
+    N (kernel rows), the direction count D (projections) or k * q
+    (assignment differences)."""
     widths = [len(u) for u in model.directions]
     widths.append(model.centroids.size)
     if model.kpca is not None:
         widths.append(len(model.kpca.train_points))
-    return per_block(max(widths))
+    return max(widths)
 
 
 def _score_block(model: LkploModel, X) -> np.ndarray:
@@ -276,17 +276,13 @@ def _score_block(model: LkploModel, X) -> np.ndarray:
 def score(model: LkploModel, Xnew) -> np.ndarray:
     """Final outlyingness: (1 / N_k) * local score at the nearest cluster.
 
-    Rows are scored in blocks of _block_rows(model), so working memory is
-    O(kernel_feature.BLOCK_BYTES) per thread whatever the batch size. The
-    blocks go through kernel_feature.run_blocks on min(blocks, usable
-    CPUs) threads, the caller included, each block writing its scores
-    into its own slice of the output. A block computes the same doubles
-    on any thread, so the scores do not depend on the CPU count, and a
-    one-block batch starts no thread. After a block fails no further
-    block starts, and once every thread is joined the lowest failed
-    block's exception is raised.
+    Rows are scored by the slabs of kernel_feature.run_blocks at the width
+    _block_width(model), so working memory is O(BLOCK_BYTES) per thread
+    whatever the batch size, and each slab writes its scores into its own
+    slice of the output. A slab computes the same doubles on any thread,
+    so the scores do not depend on the CPU count.
 
-    A batch of at most one block is bit-identical to an unblocked pass;
+    A batch of at most one slab is bit-identical to an unblocked pass;
     larger batches agree with it to rounding, because BLAS rounds a
     matrix product's rows differently for different row counts.
     """
@@ -294,14 +290,12 @@ def score(model: LkploModel, Xnew) -> np.ndarray:
     if Xnew.ndim != 2 or Xnew.shape[1] != model.d:
         raise ValueError(f"expected (M, {model.d}) input, got {Xnew.shape}")
     _check_finite(Xnew, "input")
-    rows = _block_rows(model)
     out = np.empty(Xnew.shape[0])
 
-    def block(i):
-        s = slice(i * rows, (i + 1) * rows)
+    def block(s):
         out[s] = _score_block(model, Xnew[s])
 
-    run_blocks(-(-len(out) // rows), block, usable_cpus())
+    run_blocks(len(out), _block_width(model), block)
     return out
 
 

@@ -15,13 +15,13 @@ from lkplo.plo import (
     DirectionConfig,
     FitConfig,
     LossSpec,
-    _block_rows,
     fit,
     load_model,
     model_to_dict,
     score,
 )
 from test_evaluation import set_usable_cpus
+from test_vectorized import block_rows
 
 
 @pytest.fixture
@@ -79,6 +79,24 @@ class TestFitCommand:
         else:
             assert not score(model, load_csv(train_csv).X).any()
             assert len(err.splitlines()) == 1 and "--c 1000000.0" in err
+
+    @pytest.mark.parametrize("text, flags, cause", [
+        (None, ["--c", "1e6"], "--c 1000000.0 puts the margin"),
+        ("a,b,label\n" + "1.5,-2,0\n" * 6, [], "no training projection varies"),
+    ], ids=["wide-margin", "identical-rows"])
+    def test_all_zero_training_scores_name_the_cause(self, tmp_path, train_csv, capsys,
+                                                     text, flags, cause):
+        # Identical training rows give every direction a MAD of 0, so
+        # every row scores 0 at any c; that warning does not name --c.
+        data = train_csv
+        if text is not None:
+            data = tmp_path / "same.csv"
+            data.write_text(text)
+        assert run("fit", "--data", data, "--variant", "plo", "--out",
+                   tmp_path / "m.json", *flags) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("warning: every training row scores 0: " + cause)
+        assert len(err.splitlines()) == 1 and ("--c" in err) == (text is None)
 
     def test_byte_identical_reruns(self, tmp_path, train_csv):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -202,7 +220,7 @@ class TestScoreCommand:
         assert run("fit", "--data", train_csv, "--out", model_path,
                    "--variant", "lkplo", "--gamma", "0.5", "--q", "12",
                    "--k", "5", "--seed", "4") == 0
-        m = 7 * _block_rows(load_model(model_path)) + 3
+        m = 7 * block_rows(load_model(model_path)) + 3
         rows = np.random.default_rng(5).uniform(-4.0, 9.0, size=(m, 2))
         data_path = tmp_path / "rows.csv"
         save_csv(Dataset("rows", rows, np.zeros(m, dtype=int)), data_path)

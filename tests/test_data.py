@@ -54,6 +54,12 @@ class TestLoadCsv:
         with pytest.raises(CsvFormatError, match="label"):
             load_csv(p)
 
+    def test_repeated_label_column_named(self, tmp_path):
+        # The second 'label' would otherwise load as a feature.
+        p = self.write(tmp_path, "a,b,label,label\n1,2,0,1\n3,4,1,0\n")
+        with pytest.raises(CsvFormatError, match="column 'label' repeats"):
+            load_csv(p)
+
     def test_nan_cell_named(self, tmp_path):
         p = self.write(tmp_path, "a,b,label\n1,NaN,0\n")
         with pytest.raises(CsvFormatError, match="row 2.*'b'"):

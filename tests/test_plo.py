@@ -21,7 +21,6 @@ from lkplo.plo import (
     FitConfig,
     LkploModel,
     LossSpec,
-    _block_rows,
     _max_loss,
     fit,
     gen_directions,
@@ -31,6 +30,7 @@ from lkplo.plo import (
     save_model,
     score,
 )
+from test_vectorized import block_rows
 
 
 def sort_median(z):
@@ -515,7 +515,7 @@ class TestSerialization:
             path = tmp_path / "model.json"
             save_model(model, path)
             loaded = load_model(path)
-            Xq = rng.standard_normal((2 * _block_rows(model) + 35, 2))
+            Xq = rng.standard_normal((2 * block_rows(model) + 35, 2))
             np.testing.assert_array_equal(score(model, Xq), score(loaded, Xq))
 
     def test_round_trip_stores_no_derived_projection(self, tmp_path):
@@ -524,7 +524,7 @@ class TestSerialization:
         # from: the v3 kpca keys, read back bit for bit.
         rng = np.random.default_rng(23)
         model = fit(rng.standard_normal((30, 2)), svm_config("kplo", gamma=0.4, q=6))
-        Xq = rng.uniform(-4.0, 4.0, size=(2 * _block_rows(model) + 35, 2))
+        Xq = rng.uniform(-4.0, 4.0, size=(2 * block_rows(model) + 35, 2))
         want = score(model, Xq)
         path = tmp_path / "model.json"
         save_model(model, path)

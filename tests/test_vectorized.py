@@ -36,7 +36,7 @@ from lkplo.plo import (
     DirectionConfig,
     FitConfig,
     LossSpec,
-    _block_rows,
+    _block_width,
     _max_loss,
     _row_medians,
     _score_block,
@@ -55,6 +55,11 @@ def features(seed, n, q, n_distinct):
     rng = np.random.default_rng(seed)
     points = rng.standard_normal((n_distinct, q)) * rng.uniform(0.1, 10.0)
     return points[rng.integers(n_distinct, size=n)] if n_distinct < n else points
+
+
+def block_rows(model):
+    """Rows per score slab: per_block of the model's widest temporary."""
+    return per_block(_block_width(model))
 
 
 def assert_runs_equal(got, want):
@@ -620,7 +625,7 @@ class TestScoreAssignmentMatchesScalar:
         # the same products on the same block-aligned slices and only the
         # assignment differs: per row here, batched in score.
         X = self.grid()
-        b = _block_rows(model)
+        b = block_rows(model)
         assert len(X) > b
         want = np.empty(len(X))
         for s in range(0, len(X), b):
@@ -653,7 +658,7 @@ class TestBlockedScore:
     @pytest.mark.parametrize("m", [0, 1, 2, 97, "B"])
     def test_one_block_equals_single_pass(self, model, m):
         if m == "B":
-            m = _block_rows(model)
+            m = block_rows(model)
         X = self.rows(m)
         got = score(model, X)
         assert got.shape == (m,)
@@ -662,7 +667,7 @@ class TestBlockedScore:
     def test_several_blocks_equal_single_pass_to_rounding(self, model):
         # BLAS rounds a product's rows differently for different row
         # counts, so splitting the batch moves scores by about 1e-15.
-        b = _block_rows(model)
+        b = block_rows(model)
         X = self.rows(3 * b + 17, seed=1)
         np.testing.assert_allclose(score(model, X), oracles.score(model, X),
                                    rtol=1e-12, atol=0)
@@ -670,7 +675,7 @@ class TestBlockedScore:
     def test_score_concatenates_the_blocks(self, model, monkeypatch):
         # A block computes the same doubles on any thread, so the scores
         # are a serial loop's at any CPU count.
-        b = _block_rows(model)
+        b = block_rows(model)
         for m in (1, b, b + 1, 7 * b + 3):
             X = self.rows(m, seed=2)
             want = np.concatenate([_score_block(model, X[s:s + b])
@@ -680,15 +685,17 @@ class TestBlockedScore:
                 assert np.array_equal(score(model, X), want), (m, cpus)
 
     def test_non_finite_row_anywhere_in_the_batch_is_named(self, model):
-        X = self.rows(2 * _block_rows(model) + 5)
+        X = self.rows(2 * block_rows(model) + 5)
         X[-2, 1] = np.nan
         with pytest.raises(ValueError, match=f"input row {len(X) - 2} "):
             score(model, X)
 
 
 class TestScoreThreads:
-    """score's blocks run on min(blocks, usable CPUs) threads, the
-    caller being one; these stub _score_block to see which blocks ran."""
+    """score's slabs run through run_blocks on the rule every fit stage
+    follows: min(usable CPUs, full BLOCK_BYTES blocks of the batch's
+    widest temporary) threads, the caller being one. These stub
+    _score_block to see which slabs ran."""
 
     @pytest.fixture(scope="class")
     def model(self):
@@ -725,7 +732,7 @@ class TestScoreThreads:
                 raise ValueError(f"block {i}")
 
         set_usable_cpus(monkeypatch, cpus)
-        b = _block_rows(model)
+        b = block_rows(model)
         self.stub_blocks(monkeypatch, b, block)
         threads = threading.active_count()
         with pytest.raises(ValueError, match="^block 2$"):
@@ -741,7 +748,7 @@ class TestScoreThreads:
             time.sleep(0.1)
 
         set_usable_cpus(monkeypatch, cpus)
-        b = _block_rows(model)
+        b = block_rows(model)
         started = self.stub_blocks(monkeypatch, b, block)
         with pytest.raises(ValueError, match="^block 2$"):
             score(model, self.rows(9 * b))
@@ -756,7 +763,7 @@ class TestScoreThreads:
             time.sleep(0.1)
 
         set_usable_cpus(monkeypatch, 2)
-        b = _block_rows(model)
+        b = block_rows(model)
         started = self.stub_blocks(monkeypatch, b, block)
         threads = threading.active_count()
         with pytest.raises(KeyboardInterrupt):
@@ -768,7 +775,7 @@ class TestScoreThreads:
         # A short switch interval makes a lost or repeated hand-out of a
         # block start likely if the iterator were read without the lock.
         set_usable_cpus(monkeypatch, 4 * len(os.sched_getaffinity(0)))
-        b = _block_rows(model)
+        b = block_rows(model)
         started = self.stub_blocks(monkeypatch, b, lambda i: None)
         n = 400
         interval = sys.getswitchinterval()
@@ -780,21 +787,29 @@ class TestScoreThreads:
         assert sorted(started) == list(range(n))
         assert np.array_equal(got, np.arange(n * b))
 
-    def test_one_cpu_or_one_block_starts_no_thread(self, model, monkeypatch):
+    def test_one_cpu_or_under_two_full_blocks_starts_no_thread(self, model, monkeypatch):
+        # The edge of the rule: a batch of edge - 1 rows spans two or
+        # more slabs but under two full blocks, and runs on the caller
+        # alone; edge rows are two full blocks, and start one thread.
         def no_start(thread):
             raise AssertionError("a thread was started")
 
+        def serial(X):
+            return np.concatenate([_score_block(model, X[s:s + b])
+                                   for s in range(0, len(X), b)])
+
         monkeypatch.setattr(threading.Thread, "start", no_start)
-        b = _block_rows(model)
+        b = block_rows(model)
+        edge = -(-2 * BLOCK_BYTES // (8 * _block_width(model)))
+        assert edge - 1 > b
         X = self.rows(9 * b)
         set_usable_cpus(monkeypatch, 1)
-        assert np.array_equal(score(model, X), np.concatenate(
-            [_score_block(model, X[s:s + b]) for s in range(0, len(X), b)]))
+        assert np.array_equal(score(model, X), serial(X))
         set_usable_cpus(monkeypatch, 3)
-        assert np.array_equal(score(model, X[:b]), _score_block(model, X[:b]))
+        assert np.array_equal(score(model, X[:edge - 1]), serial(X[:edge - 1]))
         threads = threading.active_count()
         with pytest.raises(AssertionError, match="a thread was started"):
-            score(model, X[:b + 1])
+            score(model, X[:edge])
         assert threading.active_count() == threads
 
 
@@ -839,9 +854,10 @@ def test_fit_is_the_same_at_any_block_budget(monkeypatch):
 
 
 class TestFitThreads:
-    """A fit stage runs its blocks through run_blocks on one thread per
-    full BLOCK_BYTES block of its temporaries, at most one per usable
-    CPU; a block computes the same doubles on any thread."""
+    """A fit stage runs its slabs through run_blocks on the rule score
+    follows: one thread per full BLOCK_BYTES block of its temporaries, at
+    most one per usable CPU; a slab computes the same doubles on any
+    thread."""
 
     def test_same_bits_at_any_cpu_count(self, monkeypatch, deadline):
         # At 64 KiB a 300-row Gram is 10 full blocks in 12 slabs of 27
