@@ -224,7 +224,7 @@ def build_parser():
 def _config_flags(path, command):
     """{--key=value flag: key} for each entry of section [command] in the
     config file at path."""
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     with open(path, encoding="utf-8-sig") as fh:
         cp.read_file(fh)
     if not cp.has_section(command):

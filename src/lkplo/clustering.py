@@ -13,6 +13,10 @@ and the same sums in the same order, except for the seeding distances
 noted in _seed_group. A group reads only its own restarts' generators
 and writes only their rows of the results, so the answer does not
 depend on the thread count.
+
+Lloyd's iterations and score's assign_nearest label rows by one rule,
+_assign; at a near-tie, BLAS rounding can make a label depend on the
+batch's row count.
 """
 
 import numpy as np
@@ -214,19 +218,12 @@ def kmeans_fit(F, k: int, seed: int):
 
 def assign_nearest(centroids, F):
     """Index of the nearest of the (k, q) centroids for each row of the
-    (M, q) batch F; ties break to the lowest index.
-
-    Each squared distance is summed over the contiguous feature axis, so
-    a row gets exactly the index a scan over the centroids gives it. The
-    differences are taken as k copies of each row against the flattened
-    centroids: the same values as broadcasting F against the centroids,
-    in one k * q run per row rather than k runs of q.
-    """
+    (M, q) batch F, by Lloyd's rule (_assign); ties break to the lowest
+    index."""
     F = np.asarray(F, dtype=float)
-    k, q = centroids.shape
+    q = centroids.shape[1]
     if F.ndim != 2 or F.shape[1] != q:
         raise ValueError(f"expected (M, {q}) batch, got {F.shape}")
-    diff = np.repeat(F, k, axis=0).reshape(len(F), k * q)
-    diff -= centroids.ravel()
-    d2 = np.square(diff, out=diff).reshape(len(F), k, q).sum(axis=-1)
-    return np.argmin(d2, axis=-1)
+    norms = np.ones((len(F), 2))
+    norms[:, 0] = (F * F).sum(axis=1)
+    return _assign(F, norms, centroids[None])[0][0]

@@ -245,10 +245,10 @@ def fit(X, config: FitConfig) -> LkploModel:
 
 def _block_width(model: LkploModel) -> int:
     """The widest per-row temporary of a score block: the training size
-    N (kernel rows), the direction count D (projections) or k * q
-    (assignment differences)."""
+    N (kernel rows), the direction count D (projections) or k
+    (assignment distances)."""
     widths = [len(u) for u in model.directions]
-    widths.append(model.centroids.size)
+    widths.append(len(model.centroids))
     if model.kpca is not None:
         widths.append(len(model.kpca.train_points))
     return max(widths)

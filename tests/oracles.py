@@ -23,7 +23,6 @@ import numpy as np
 from scipy.stats import rankdata
 
 from lkplo.clustering import MAX_ITER, N_INIT, SHIFT_TOL
-from lkplo.clustering import assign_nearest as batch_assign_nearest
 from lkplo.evaluation import _OuterFold
 from lkplo.kernel_feature import (
     ABS_EIG_FLOOR,
@@ -327,12 +326,6 @@ def _losses(proj, medians, mads, loss):
     return np.maximum(0.0, np.abs(proj) - loss.c * mads)
 
 
-def assign_nearest(centroids, f):
-    """Index of the nearest centroid to the single vector f."""
-    d2 = ((centroids - f) ** 2).sum(axis=1)
-    return int(np.argmin(d2))
-
-
 def score(model, Xnew):
     """The single-pass score: one transform, one assignment and one
     projection per cluster over the whole batch."""
@@ -344,9 +337,9 @@ def score(model, Xnew):
 
     m = F.shape[0]
     out = np.empty(m)
-    assign = batch_assign_nearest(model.centroids, F)
+    labels = assign(F, model.centroids)[0]
     for j, u in enumerate(model.directions):
-        rows = assign == j
+        rows = labels == j
         if not np.any(rows):
             continue
         proj = (F[rows] - model.centroids[j]) @ u.T

@@ -147,6 +147,18 @@ class TestFitCommand:
         assert run("fit", "--conf", cfg, "--data", train_csv, "--out", out) == 1
         assert "--config must be spelled out" in capsys.readouterr().err
 
+    def test_config_value_taken_literally(self, tmp_path, train_csv):
+        # A "%" in a value is part of it, as on the command line: the file
+        # does no %-interpolation.
+        data = tmp_path / "100%.csv"
+        data.write_bytes(train_csv.read_bytes())
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[fit]\ndata = {data}\nvariant = plo\n")
+        out, ref = tmp_path / "m.json", tmp_path / "ref.json"
+        assert run("fit", "--config", cfg, "--out", out) == 0
+        assert run("fit", "--data", data, "--out", ref, "--variant", "plo") == 0
+        assert out.read_bytes() == ref.read_bytes()
+
     def test_negative_direction_count_fails(self, tmp_path, train_csv, capsys):
         rc = run("fit", "--data", train_csv, "--out", tmp_path / "m.json",
                  "--n-random", "-5")

@@ -373,6 +373,43 @@ class TestDegenerateFits:
         assert np.all(np.isfinite(s)) and np.all(s >= 0)
 
 
+class TestScaleInvariance:
+    """Scaling the rows by 2^m and gamma by 4^-m leaves every RBF kernel
+    value's bits as they were: the squared distances scale by 4^m and
+    the products by exact powers of two. So kplo and lkplo score the
+    scaled rows bit for bit as they score the rows. plo works on the rows
+    themselves, so its projections, medians and MADs scale by 2^m:
+    robust_z scores keep their bits, svm_like scores are exactly 2^m
+    times. That holds while no MAD reaches MAD_FLOOR and no direction
+    candidate's norm reaches DIRECTION_NORM_FLOOR at either scale, so the
+    rows here are continuous draws of order 2^m, far above both."""
+
+    @given(
+        st.integers(0, 10_000),            # seed
+        st.integers(-6, 6),                # m
+        st.sampled_from(VARIANTS),
+        st.sampled_from([LossSpec("robust_z"), LossSpec("svm_like", 2.0)]),
+    )
+    @example(0, -6, "plo", LossSpec("svm_like", 2.0))
+    @example(1, 6, "lkplo", LossSpec("robust_z"))
+    @settings(max_examples=30, deadline=None)
+    def test_scaled_rows_and_gamma_score_alike(self, seed, m, variant, loss):
+        rng = np.random.default_rng(seed)
+        X = np.vstack([c + rng.standard_normal((12, 2)) for c in ([0, 0], [5, 0], [0, 5])])
+        Xnew = 3.0 * rng.standard_normal((10, 2))
+        config = FitConfig(variant=variant, loss=loss, gamma=float(rng.uniform(0.05, 2.0)),
+                           q=5, k=3, seed=seed)
+        s = 2.0 ** m
+        scaled = fit(s * X, replace(config, gamma=config.gamma / s ** 2))
+        got = score(scaled, s * Xnew)
+        want = score(fit(X, config), Xnew)
+        if variant == "plo":
+            assert min(mad.min() for mad in scaled.mads) > MAD_FLOOR
+            if loss.kind == "svm_like":
+                want *= s
+        assert np.array_equal(got, want)
+
+
 class TestScore:
     def test_single_cluster_weighting(self):
         rng = np.random.default_rng(13)

@@ -577,6 +577,9 @@ class TestMaxLossMatchesElementwise:
 
 
 class TestScoreAssignmentMatchesScalar:
+    """score's assign_nearest against oracles.assign, the Lloyd rule's
+    reference."""
+
     @pytest.fixture(scope="class")
     def model(self):
         rng = np.random.default_rng(5)
@@ -591,46 +594,48 @@ class TestScoreAssignmentMatchesScalar:
 
     def test_batch_equals_per_row(self, model):
         F = transform(model.kpca, self.grid())
-        want = [oracles.assign_nearest(model.centroids, f) for f in F]
+        want = oracles.assign(F, model.centroids)[0]
         assert np.array_equal(assign_nearest(model.centroids, F), want)
 
-    def test_ties_break_to_lowest_index(self, model):
-        # Midpoints of centroid pairs sit on (or within a rounding step
-        # of) the bisector, where the per-row and batch forms must agree.
-        C = model.centroids
-        F = np.array([(C[a] + C[b]) / 2 for a in range(len(C)) for b in range(len(C))])
-        want = [oracles.assign_nearest(C, f) for f in F]
-        assert np.array_equal(assign_nearest(C, F), want)
-        assert assign_nearest(C, C[2:3])[0] == 2
+    def test_ties_break_to_lowest_index(self):
+        # Dyadic rows and centroids, so every distance is exact and each
+        # tie below is exact too: (0, 0) ties 0 and 1, (0.5, 1) ties 0
+        # and 2, (-0.5, 1) ties 1 and 2, and the repeated centroid 3
+        # ties 2 everywhere.
+        C = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 2.0], [0.0, 2.0]])
+        F = np.array([[0.0, 0.0], [0.5, 1.0], [-0.5, 1.0], [0.0, 2.0], [0.0, 7.0]])
+        got = assign_nearest(C, F)
+        assert got.tolist() == [0, 0, 1, 2, 2]
+        assert np.array_equal(got, oracles.assign(F, C)[0])
+        assert assign_nearest(C, C[3:4])[0] == 2
 
     def test_one_centroid(self):
         F = np.random.default_rng(6).standard_normal((50, 4))
         assert not assign_nearest(F[:1], F).any()
 
     def test_wide_centroid_table(self):
-        # k * q = 1,200 differences per row, with exact ties: rows that
-        # repeat a centroid, and a centroid that repeats another.
+        # k = 40 centroids in q = 30, with exact ties: rows that repeat a
+        # centroid, and a centroid that repeats another.
         rng = np.random.default_rng(7)
         C = rng.standard_normal((40, 30))
         C[25] = C[3]
         F = np.vstack([rng.standard_normal((300, 30)) * 2.0, C[[0, 3, 25, 39]]])
-        want = [oracles.assign_nearest(C, f) for f in F]
         got = assign_nearest(C, F)
-        assert np.array_equal(got, want)
+        assert np.array_equal(got, oracles.assign(F, C)[0])
         assert got[-3:].tolist() == [3, 3, 39]
 
     def test_score_uses_the_per_row_assignment(self, model):
         # The grid spans several score blocks. BLAS may round a product's
         # rows differently for different row counts, so the reference runs
-        # the same products on the same block-aligned slices and only the
-        # assignment differs: per row here, batched in score.
+        # the same products on the same block-aligned slices, with the
+        # oracle's assignment in place of assign_nearest.
         X = self.grid()
         b = block_rows(model)
         assert len(X) > b
         want = np.empty(len(X))
         for s in range(0, len(X), b):
             F = transform(model.kpca, X[s:s + b])
-            assign = np.array([oracles.assign_nearest(model.centroids, f) for f in F])
+            assign = oracles.assign(F, model.centroids)[0]
             block = want[s:s + b]
             for j, u in enumerate(model.directions):
                 rows = assign == j
