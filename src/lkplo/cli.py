@@ -75,10 +75,7 @@ def cmd_score(args):
     model = plo_mod.load_model(args.model)
     dataset = data_mod.load_csv(args.data)
     scores = plo_mod.score(model, dataset.X)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("row_index,score\n")
-        for i, s in enumerate(scores.tolist()):
-            fh.write(f"{i},{s!r}\n")
+    data_mod.write_csv(args.out, ["row_index", "score"], enumerate(scores.tolist()))
     print(f"scored {len(scores)} rows -> {args.out}")
     return 0
 
@@ -138,11 +135,8 @@ def cmd_boundary_grid(args):
     ys = np.linspace(ymin, ymax, r)
     # Row-major: x varies slowest, y fastest.
     grid = np.column_stack([np.repeat(xs, r), np.tile(ys, r)])
-    scores = plo_mod.score(model, grid)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("x,y,score\n")
-        for (x, y), s in zip(grid.tolist(), scores.tolist()):
-            fh.write(f"{x!r},{y!r},{s!r}\n")
+    table = np.column_stack([grid, plo_mod.score(model, grid)])
+    data_mod.write_csv(args.out, ["x", "y", "score"], table.tolist())
     print(f"wrote {r * r} grid scores -> {args.out}")
     return 0
 

@@ -33,6 +33,8 @@ def load_csv(path, name=None) -> Dataset:
             raise CsvFormatError(f"{path}: no 'label' column in header {header}")
         if header.count("label") > 1:
             raise CsvFormatError(f"{path}: column 'label' repeats in header {header}")
+        if len(header) == 1:
+            raise CsvFormatError(f"{path}: no feature column in header {header}")
         label_col = header.index("label")
         feat_cols = [i for i in range(len(header)) if i != label_col]
 
@@ -70,13 +72,19 @@ def load_csv(path, name=None) -> Dataset:
     )
 
 
-def save_csv(dataset: Dataset, path):
-    d = dataset.X.shape[1]
+def write_csv(path, header, rows):
+    """Write a CSV table, UTF-8 with no BOM and LF line ends. A float cell
+    is its shortest repr; a cell holding a comma or a quote is quoted."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"f{i}" for i in range(d)] + ["label"])
-        for row, label in zip(dataset.X, dataset.y):
-            writer.writerow([repr(float(v)) for v in row] + [int(label)])
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def save_csv(dataset: Dataset, path):
+    rows = zip(np.asarray(dataset.X, dtype=float).tolist(), dataset.y)
+    write_csv(path, [f"f{i}" for i in range(dataset.X.shape[1])] + ["label"],
+              (row + [int(label)] for row, label in rows))
 
 
 @dataclass

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .data import Dataset, apply_standardizer, fit_standardizer
+from .data import Dataset, apply_standardizer, fit_standardizer, write_csv
 from .kernel_feature import usable_cpus
 from .plo import FitConfig, LossSpec, _derive_seed, fit as plo_fit, score as plo_score
 
@@ -430,8 +430,6 @@ def write_reports(reports, prefix):
     are byte-identical."""
     with open(prefix + ".json", "w", encoding="utf-8") as fh:
         fh.write(json.dumps([r.to_dict() for r in reports], indent=2) + "\n")
-    with open(prefix + ".csv", "w", encoding="utf-8") as fh:
-        fh.write("dataset,method,mean,std,fold_aucs\n")
-        for r in reports:
-            folds = ";".join(repr(a) for a in r.fold_aucs)
-            fh.write(f"{r.dataset},{r.method},{r.mean!r},{r.std!r},{folds}\n")
+    write_csv(prefix + ".csv", ["dataset", "method", "mean", "std", "fold_aucs"],
+              ([r.dataset, r.method, r.mean, r.std, ";".join(map(repr, r.fold_aucs))]
+               for r in reports))

@@ -203,10 +203,10 @@ def fit(X, config: FitConfig) -> LkploModel:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2:
         raise ValueError("X must be 2-D with at least 2 rows")
-    _check_finite(X, "training")
 
     kpca = None
     if config.variant == "plo":
+        _check_finite(X, "training")
         F = X
     else:
         kpca, F = fit_kpca(X, KernelParams(config.gamma), config.q)

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -10,7 +11,7 @@ import pytest
 
 import lkplo
 from lkplo.cli import main
-from lkplo.data import Dataset, gen_three_gaussians, load_csv, save_csv
+from lkplo.data import Dataset, gen_moons, gen_three_gaussians, load_csv, save_csv
 from lkplo.plo import (
     DirectionConfig,
     FitConfig,
@@ -351,6 +352,16 @@ class TestBenchmarkCommand:
         assert message in err and "Mean of empty slice" not in err
         assert not (tmp_path / "rep.json").exists()
 
+    def test_comma_in_data_path_quoted(self, tmp_path):
+        data_path = tmp_path / "mo,ons.csv"
+        save_csv(gen_moons(0), data_path)
+        assert run("benchmark", "--data", data_path, "--method", "plo",
+                   "--folds", "2", "--trials", "1", "--out", tmp_path / "rep") == 0
+        with open(tmp_path / "rep.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(row) for row in rows] == [5, 5]
+        assert rows[1][:2] == [str(data_path), "plo"]
+
     def test_byte_identical_reruns(self, tmp_path):
         args = ["benchmark", "--data", "synth:moons", "--method", "kplo",
                 "--folds", "3", "--trials", "2", "--seed", "1"]
@@ -614,6 +625,28 @@ class TestBoundaryGridCommand:
         assert run(*args, "--out", a) == 0
         assert run(*args, "--out", b) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+def test_no_written_csv_holds_a_carriage_return(tmp_path):
+    train, model = tmp_path / "train.csv", tmp_path / "model.json"
+    commands = [
+        ["gen", "--name", "three_gaussians", "--seed", "0", "--out", train],
+        ["fit", "--data", train, "--variant", "plo", "--out", model],
+        ["score", "--model", model, "--data", train, "--out", tmp_path / "scores.csv"],
+        ["boundary-grid", "--model", model, "--resolution", "5",
+         "--out", tmp_path / "grid.csv"],
+        ["benchmark", "--data", train, "--method", "plo", "--folds", "2",
+         "--trials", "1", "--out", tmp_path / "report"],
+        ["ablation", "--data", train, "--folds", "2", "--trials", "1",
+         "--out", tmp_path / "ablation"],
+    ]
+    for argv in commands:
+        assert run(*argv) == 0, argv
+    written = sorted(tmp_path.glob("*.csv"))
+    assert [p.name for p in written] == ["ablation.csv", "grid.csv", "report.csv",
+                                         "scores.csv", "train.csv"]
+    for path in written:
+        assert b"\r" not in path.read_bytes(), path.name
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

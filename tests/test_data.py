@@ -80,6 +80,14 @@ class TestLoadCsv:
         with pytest.raises(CsvFormatError, match="label"):
             load_csv(p)
 
+    def test_label_only_named(self, tmp_path):
+        # Without the check, plo and kplo fail later with errors that do
+        # not say the file has no feature.
+        p = self.write(tmp_path, "label\n0\n0\n1\n")
+        with pytest.raises(CsvFormatError) as info:
+            load_csv(p)
+        assert str(info.value) == f"{p}: no feature column in header ['label']"
+
     @pytest.mark.parametrize("text, message", [
         ("", "empty file"),
         ("a,label\n", "no data rows"),
@@ -92,10 +100,13 @@ class TestLoadCsv:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
         ds = Dataset("t", rng.standard_normal((12, 3)), rng.integers(0, 2, 12))
+        # Signed zero, the smallest subnormal and the largest double keep
+        # their bits too.
+        ds.X[0] = [-0.0, 5e-324, 1.7976931348623157e308]
         p = tmp_path / "rt.csv"
         save_csv(ds, p)
         back = load_csv(p)
-        np.testing.assert_array_equal(back.X, ds.X)
+        assert back.X.tobytes() == ds.X.tobytes()
         np.testing.assert_array_equal(back.y, ds.y)
 
 
