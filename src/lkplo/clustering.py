@@ -102,14 +102,14 @@ def _seed_group(F, FT, k, rngs):
     return F[idx]
 
 
-def _repair_empty(F, centers, labels, d2, k):
+def _repair_empty(F, centers, labels, d2, sizes):
     """Empty-cluster repair: the farthest point from its centroid (among
-    clusters that can spare one) becomes a singleton centroid.
+    clusters that can spare one) becomes a singleton centroid. sizes is
+    the member count of each cluster, updated with the labels.
 
     Donors keep at least one member, so a repair never empties another
     cluster and the empty ones can be found up front, in ascending order.
     """
-    sizes = np.bincount(labels, minlength=k)
     for j in np.flatnonzero(sizes == 0):
         candidates = np.flatnonzero(sizes[labels] >= 2)
         far = int(candidates[np.argmax(d2[candidates])])
@@ -135,9 +135,8 @@ def _repaired_means(F, weights, centers, labels, d2):
     bins = labels + (np.arange(R) * k)[:, None]
     sizes = np.bincount(bins.ravel(), minlength=R * k).reshape(R, k)
     for r in np.flatnonzero((sizes == 0).any(axis=1)):
-        _repair_empty(F, centers[r], labels[r], d2[r], k)
+        _repair_empty(F, centers[r], labels[r], d2[r], sizes[r])
         bins[r] = labels[r] + r * k
-        sizes[r] = np.bincount(labels[r], minlength=k)
     bins *= q
     sums = np.bincount((bins[:, None, :] + np.arange(q)[:, None]).ravel(),
                        weights=weights[:bins.size * q], minlength=R * k * q)

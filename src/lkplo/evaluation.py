@@ -30,10 +30,11 @@ class StratificationError(ValueError):
     """Raised when a class has too few members for the requested folds."""
 
 
-def stratified_kfold(y, k: int, seed: int) -> np.ndarray:
+def stratified_kfold(y, k: int, seed: int, split: str = "the split") -> np.ndarray:
     """Fold index of each row. Shuffles within each class, then assigns
     round-robin, so per-fold class counts are within one sample of
-    perfect proportionality."""
+    perfect proportionality. A class of fewer than k rows raises a
+    StratificationError whose message starts with split, the split's name."""
     y = np.asarray(y)
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -43,8 +44,7 @@ def stratified_kfold(y, k: int, seed: int) -> np.ndarray:
         idx = np.flatnonzero(y == cls)
         if len(idx) < k:
             raise StratificationError(
-                f"class {cls} has {len(idx)} members, fewer than k={k}"
-            )
+                f"{split}: class {cls} has {len(idx)} rows, fewer than its {k} folds")
         rng.shuffle(idx)
         assignments[idx] = np.arange(len(idx)) % k
     return assignments
@@ -244,8 +244,10 @@ class _OuterFold:
         self.fit_seed = _derive_seed(protocol.seed, fold, 1)
         self.search_seed = _derive_seed(protocol.seed, fold, 2)
 
-        inner = stratified_kfold(y_train, INNER_FOLDS,
-                                 _derive_seed(protocol.seed, fold, 0))
+        inner = stratified_kfold(
+            y_train, INNER_FOLDS, _derive_seed(protocol.seed, fold, 0),
+            f"fold {fold}'s 75/25 tuning split, of the outer-train rows that "
+            f"--folds={protocol.k_folds} leaves")
         val_mask = inner == 0
         scaler = fit_standardizer(self.X_train[~val_mask])
         self.X_fit = apply_standardizer(scaler, self.X_train[~val_mask])
@@ -377,7 +379,8 @@ def evaluate_method(dataset: Dataset, method: Method,
             f"dataset {dataset.name!r} has a single class; evaluation "
             "needs both inliers and outliers"
         )
-    folds = stratified_kfold(dataset.y, protocol.k_folds, protocol.seed)
+    folds = stratified_kfold(dataset.y, protocol.k_folds, protocol.seed,
+                             "the outer --folds split")
     outer = [_OuterFold(dataset, np.flatnonzero(folds != fold), method, protocol, fold)
              for fold in range(protocol.k_folds)]
     n_trials, space = protocol.n_trials, method.space

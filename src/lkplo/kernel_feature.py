@@ -206,29 +206,20 @@ def center_gram(K):
     which keeps it exactly symmetric. Returns the row means r and the
     mean t, which center out-of-sample kernel rows consistently.
 
-    The row means come by the row slabs of one run_blocks pass, t as one
-    whole-array K.mean() in the slab that starts at row 0, and the
-    subtraction by the same slabs in a second pass. A row's mean is the
-    same double whichever slab holds it, so r, t and K are the same at
-    any CPU count.
+    r and t are two whole-array reductions on the calling thread. Only
+    the subtraction, whose broadcast temporary is a slab's, runs on the
+    row slabs of one run_blocks pass; each slab writes only its own rows
+    of K, so K is the same at any CPU count.
     """
-    n = len(K)
-    row_means = np.empty(n)
-    total_mean = None
-
-    def means(s):
-        nonlocal total_mean
-        if s.start == 0:
-            total_mean = float(K.mean())
-        row_means[s] = K[s].mean(axis=1)
+    row_means = K.mean(axis=1)
+    total_mean = float(K.mean())
 
     def subtract(s):
         chunk = K[s]
         chunk -= row_means[s, None] + row_means
         chunk += total_mean
 
-    run_blocks(n, n, means)
-    run_blocks(n, n, subtract)
+    run_blocks(len(K), len(K), subtract)
     return row_means, total_mean
 
 

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .clustering import assign_nearest, kmeans_fit
+from .clustering import InvalidKError, assign_nearest, kmeans_fit
 from .kernel_feature import (KernelParams, KpcaModel, _check_finite, fit_kpca,
                              run_blocks, transform)
 
@@ -203,6 +203,9 @@ def fit(X, config: FitConfig) -> LkploModel:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2:
         raise ValueError("X must be 2-D with at least 2 rows")
+    if config.variant == "lkplo" and config.k > len(X):  # before the kernel stage
+        raise InvalidKError(f"k (--k) must be <= {len(X)}, the number of training "
+                            f"rows, got {config.k}")
 
     kpca = None
     if config.variant == "plo":

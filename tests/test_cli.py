@@ -56,11 +56,20 @@ class TestFitCommand:
         assert out.exists()
         assert "variant=plo" in capsys.readouterr().out
 
-    def test_k_too_large_fails(self, tmp_path, train_csv, capsys):
-        rc = run("fit", "--data", train_csv, "--out", tmp_path / "m.json",
-                 "--variant", "lkplo", "--k", "100000")
-        assert rc != 0
-        assert "InvalidKError" in capsys.readouterr().err
+    def test_k_too_large_fails(self, tmp_path, train_csv, capsys, monkeypatch):
+        # --k above the training rows is named before the kernel stage runs.
+        def no_kernel_stage(*args):
+            raise AssertionError("the kernel stage ran")
+
+        monkeypatch.setattr("lkplo.plo.fit_kpca", no_kernel_stage)
+        out = tmp_path / "m.json"
+        n = len(load_csv(train_csv).X)
+        rc = run("fit", "--data", train_csv, "--out", out, "--variant", "lkplo",
+                 "--k", "1000")
+        assert rc == 1
+        assert (f"InvalidKError: k (--k) must be <= {n}, the number of training rows, "
+                "got 1000") in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("c", ["1e6", None])
     def test_all_zero_training_scores_name_c(self, tmp_path, train_csv, capsys, c):
@@ -338,6 +347,28 @@ class TestBenchmarkCommand:
                  "--out", tmp_path / "rep")
         assert rc != 0
         assert "StratificationError" in capsys.readouterr().err
+
+    def test_class_short_for_tuning_split_named(self, tmp_path, capsys):
+        # 4 outliers: each outer-train part of 2 folds holds 2, too few for
+        # the 4 inner folds of its 75/25 tuning split.
+        X = np.random.default_rng(0).standard_normal((40, 2))
+        path = tmp_path / "few.csv"
+        save_csv(Dataset("few", X, (np.arange(40) < 4).astype(int)), path)
+        rc = run("benchmark", "--data", path, "--method", "plo", "--folds", "2",
+                 "--trials", "1", "--out", tmp_path / "rep")
+        assert rc == 1
+        assert ("StratificationError: fold 0's 75/25 tuning split, of the outer-train "
+                "rows that --folds=2 leaves: class 1 has 2 rows, fewer than its 4 folds"
+                ) in capsys.readouterr().err
+        assert not list(tmp_path.glob("rep*"))
+
+    def test_class_short_for_outer_split_names_folds(self, tmp_path, capsys):
+        rc = run("benchmark", "--data", "synth:moons", "--method", "plo",
+                 "--folds", "30", "--trials", "1", "--out", tmp_path / "rep")
+        assert rc == 1
+        assert ("StratificationError: the outer --folds split: class 1 has 25 rows, "
+                "fewer than its 30 folds") in capsys.readouterr().err
+        assert not list(tmp_path.glob("rep*"))
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--folds", "1", "k_folds (--folds) must be >= 2, got 1"),

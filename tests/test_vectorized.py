@@ -192,11 +192,13 @@ class TestKmeansMatchesScalar:
         centers = rng.standard_normal((k, 2))
         got = (F, centers.copy(), labels.copy(), d2.copy())
         want = (F, centers.copy(), labels.copy(), d2.copy())
-        _repair_empty(*got, k)
+        sizes = np.bincount(labels, minlength=k)
+        _repair_empty(*got, sizes)
         oracles.repair_empty(*want, k)
         for g, w in zip(got[1:], want[1:]):
             assert np.array_equal(g, w)
-        assert np.bincount(got[2], minlength=k).min() >= 1
+        assert np.array_equal(sizes, np.bincount(got[2], minlength=k))
+        assert sizes.min() >= 1
 
 
 # Near the protocol's sizes (q 5-30, N 288-384). From q = 8 numpy sums a row
@@ -960,3 +962,37 @@ class TestFitThreads:
         with pytest.raises(ValueError, match="^group 1$"):
             kmeans_fit(F, k, seed)
         assert threading.active_count() == threads
+
+
+def test_answers_do_not_depend_on_slab_order(monkeypatch):
+    # Each slab of a run_blocks caller writes only its own rows of the
+    # result, so running the slabs last to first on the calling thread
+    # gives the normal runner's bits. N = 2000 is 31 Gram and centering
+    # slabs; k-means at q = 20, k = 10 is 4 restart groups; the batch is
+    # 6 score slabs.
+    X = np.random.default_rng(0).standard_normal((2000, 10))
+    F = features(1, 2000, 20, 2000)
+    model = fit(gen_three_gaussians(3).X, FitConfig(
+        variant="lkplo", loss=LossSpec("svm_like", 2.0), gamma=0.5, q=12, k=6, seed=2))
+    rows = np.random.default_rng(2).uniform(-4.0, 9.0, size=(5 * block_rows(model) + 7, 2))
+    slabs = []
+
+    def reversed_blocks(n_rows, width, work):
+        starts = range(0, n_rows, per_block(width))
+        slabs.append(len(starts))
+        for start in reversed(starts):
+            work(slice(start, start + per_block(width)))
+
+    def answers():
+        K = gram_matrix(X, KernelParams(0.1))
+        centered = K.copy()
+        return (K, centered, *center_gram(centered), *kmeans_fit(F, 10, 3),
+                score(model, rows))
+
+    want = answers()
+    for module in (kernel_feature, clustering, plo):
+        monkeypatch.setattr(module, "run_blocks", reversed_blocks)
+    got = answers()
+    assert slabs == [31, 31, 4, 6]
+    for g, w in zip(got, want, strict=True):
+        assert np.array_equal(g, w)
