@@ -85,11 +85,8 @@ def _seed_group(F, FT, k, rngs):
             # only shrink: pick any index not chosen yet for each centre
             # left, so k == n stays feasible.
             for r in active[zero]:
-                chosen = np.zeros(n, dtype=bool)
-                chosen[idx[r, :j]] = True
                 for jj in range(j, k):
-                    idx[r, jj] = rngs[r].choice(np.flatnonzero(~chosen))
-                    chosen[idx[r, jj]] = True
+                    idx[r, jj] = rngs[r].choice(np.setdiff1d(np.arange(n), idx[r, :jj]))
             active, d2, total = active[~zero], d2[~zero], total[~zero]
             if not len(active):
                 break

@@ -50,35 +50,27 @@ def stratified_kfold(y, k: int, seed: int, split: str = "the split") -> np.ndarr
     return assignments
 
 
-def _average_ranks(s):
-    """1-based ranks of s, each run of tied values sharing its mean rank.
-
-    The ranks are half-integers, so they equal scipy.stats.rankdata's
-    bit for bit; computing them here keeps scipy out of every import.
-    """
-    order = np.argsort(s, kind="stable")
-    s_sorted = s[order]
-    starts = np.flatnonzero(np.r_[True, s_sorted[1:] != s_sorted[:-1]])
-    ends = np.r_[starts[1:], len(s)]  # one past each run's last position
-    ranks = np.empty(len(s))
-    ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)
-    return ranks
-
-
 def roc_auc(scores, y) -> float:
-    """P(score_outlier > score_inlier) + half credit for ties, via
-    average ranks (Mann-Whitney U)."""
+    """P(score_outlier > score_inlier) + half credit for ties: the
+    Mann-Whitney U, counted by binary search in the sorted inlier scores.
+    y holds one label per score, 0 (inlier) or 1 (outlier), or a bool."""
     scores = np.asarray(scores, dtype=float)
     y = np.asarray(y)
-    n1 = int(np.sum(y == 1))
-    n0 = int(np.sum(y == 0))
-    if n0 == 0 or n1 == 0:
+    if y.shape != scores.shape:
+        raise ValueError(f"roc_auc needs one label per score, got labels of shape "
+                         f"{y.shape} for scores of shape {scores.shape}")
+    bad = ~np.isin(y, (0, 1))
+    if bad.any():
+        raise ValueError(f"roc_auc labels must be 0 or 1, got {y[bad][0]}")
+    inliers, outliers = scores[y == 0], scores[y == 1]
+    if not len(inliers) or not len(outliers):
         raise ValueError("roc_auc needs both classes present")
     if np.isnan(scores).any():
         raise ValueError("roc_auc got a NaN score")
-    ranks = _average_ranks(scores)
-    u = ranks[y == 1].sum() - n1 * (n1 + 1) / 2
-    return float(u / (n0 * n1))
+    inliers.sort()
+    below = np.searchsorted(inliers, outliers, side="left")
+    tied = np.searchsorted(inliers, outliers, side="right") - below
+    return float((below.sum() + 0.5 * tied.sum()) / (len(inliers) * len(outliers)))
 
 
 @dataclass(frozen=True)
@@ -124,9 +116,9 @@ def random_search(space: dict, n_trials: int, seed: int,
     """Uniform random sampling of space (name -> ParamSpec) with
     per-trial derived seeds; returns (best params, trial log). A trial
     whose objective raises a ValueError (which covers the degenerate-fit
-    errors) or a LinAlgError scores -inf and the search continues; any
-    other exception propagates. Raises ValueError when every trial
-    failed. Ties go to the earliest trial."""
+    errors) or a LinAlgError, or returns NaN, scores -inf and the search
+    continues; any other exception propagates. Raises ValueError when
+    every trial failed. Ties go to the earliest trial."""
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     trials = []
@@ -134,6 +126,8 @@ def random_search(space: dict, n_trials: int, seed: int,
         params = _trial_params(space, seed, t)
         try:
             value = float(objective(params))
+            if math.isnan(value):
+                raise ValueError("objective returned NaN")
             error = None
         except ValueError as exc:  # recorded, not raised; LinAlgError is one
             value = -math.inf
