@@ -226,48 +226,14 @@ class ExperimentReport:
         return fields
 
 
-class _OuterFold:
-    """Outer fold `fold`: its tuning split, the search objective on it and
-    the refit. Only the outer-train rows (train_idx) reach either."""
-
-    def __init__(self, dataset: Dataset, train_idx, method: Method,
-                 protocol: Protocol, fold: int):
-        self.fold = fold
-        self.method = method
-        self.X_train, y_train = dataset.X[train_idx], dataset.y[train_idx]
-        self.fit_seed = _derive_seed(protocol.seed, fold, 1)
-        self.search_seed = _derive_seed(protocol.seed, fold, 2)
-
-        inner = stratified_kfold(
-            y_train, INNER_FOLDS, _derive_seed(protocol.seed, fold, 0),
-            f"fold {fold}'s 75/25 tuning split, of the outer-train rows that "
-            f"--folds={protocol.k_folds} leaves")
-        val_mask = inner == 0
-        scaler = fit_standardizer(self.X_train[~val_mask])
-        self.X_fit = apply_standardizer(scaler, self.X_train[~val_mask])
-        self.X_val = apply_standardizer(scaler, self.X_train[val_mask])
-        self.y_val = y_train[val_mask]
-
-    def objective(self, params: dict) -> float:
-        """Validation AUC of params fitted on the tuning set."""
-        model = plo_fit(self.X_fit,
-                        self.method.config(params, self.fit_seed, len(self.X_fit)))
-        return roc_auc(plo_score(model, self.X_val), self.y_val)
-
-    def search(self, n_trials: int, objective: Callable[[dict], float]):
-        """random_search over the method's space with this fold's seed."""
-        try:
-            return random_search(self.method.space, n_trials, self.search_seed,
-                                 objective)
-        except ValueError as exc:
-            raise ValueError(f"fold {self.fold}: {exc}") from exc
-
-    def refit(self, best: dict):
-        """(model, standardizer) of best fitted on the full outer-train split."""
-        scaler = fit_standardizer(self.X_train)
-        model = plo_fit(apply_standardizer(scaler, self.X_train),
-                        self.method.config(best, self.fit_seed, len(self.X_train)))
-        return model, scaler
+def _held_out_auc(method: Method, params: dict, seed: int,
+                  X_fit, X_eval, y_eval) -> float:
+    """AUC on (X_eval, y_eval) of params fitted on X_fit, with both sides
+    standardized by X_fit's statistics alone."""
+    scaler = fit_standardizer(X_fit)
+    model = plo_fit(apply_standardizer(scaler, X_fit),
+                    method.config(params, seed, len(X_fit)))
+    return roc_auc(plo_score(model, apply_standardizer(scaler, X_eval)), y_eval)
 
 
 def _pull(unit: Callable, n_units: int, next_unit) -> dict:
@@ -356,47 +322,66 @@ def _map(unit: Callable, n_units: int) -> list:
 def evaluate_method(dataset: Dataset, method: Method,
                     protocol: Protocol = Protocol()) -> ExperimentReport:
     """Run the tuned k-fold protocol in two phases of independent units,
-    each spread over the usable CPUs by one _map.
+    each one _held_out_auc, spread over the usable CPUs by one _map.
 
-    Phase A runs the k_folds x n_trials search trials. Each fold's
-    search then replays its trials' outcomes, in trial order, through
-    random_search, which picks the best (ties to the earliest trial) or
-    raises when all failed. Phase B refits and scores each fold's best
-    params. Every seed comes from (protocol.seed, fold, trial), so the
-    report does not depend on the CPU count, and neither does the error
-    raised: a failed search, lowest fold first, before any refit runs;
-    then a failed refit, lowest fold first.
+    A label other than 0 or 1 fails first, by name. Then every fold's
+    rows are split (outer-train and held-out, and the outer-train rows
+    75/25 into tuning and validation), so a class too small for a split
+    fails by the split's name before any fit. Phase A runs the k_folds x
+    n_trials search trials, each fit on its fold's tuning rows and scored
+    on its validation rows. Each fold's search then replays its trials'
+    outcomes, in trial order, through random_search, which picks the best
+    (ties to the earliest trial) or raises when all failed. Phase B fits
+    each fold's best params on its outer-train rows and scores its
+    held-out rows. Every seed comes from (protocol.seed, fold, trial), so
+    the report does not depend on the CPU count, and neither does the
+    error raised: a failed search, lowest fold first, before any refit
+    runs; then a failed refit, lowest fold first.
     """
-    classes = np.unique(dataset.y)
-    if len(classes) < 2:
-        raise StratificationError(
-            f"dataset {dataset.name!r} has a single class; evaluation "
-            "needs both inliers and outliers"
-        )
-    folds = stratified_kfold(dataset.y, protocol.k_folds, protocol.seed,
-                             "the outer --folds split")
-    outer = [_OuterFold(dataset, np.flatnonzero(folds != fold), method, protocol, fold)
-             for fold in range(protocol.k_folds)]
+    X, y, seed = dataset.X, dataset.y, protocol.seed
+    bad = ~np.isin(y, (0, 1))
+    if bad.any():
+        raise ValueError(f"dataset {dataset.name!r} has label {y[bad][0]}; evaluation "
+                         "needs 0 (inlier) or 1 (outlier)")
+    if len(np.unique(y)) < 2:
+        raise StratificationError(f"dataset {dataset.name!r} has a single class; "
+                                  "evaluation needs both inliers and outliers")
+    folds = stratified_kfold(y, protocol.k_folds, seed, "the outer --folds split")
+    outer, tuning = [], []
+    for fold in range(protocol.k_folds):
+        train = np.flatnonzero(folds != fold)
+        inner = stratified_kfold(
+            y[train], INNER_FOLDS, _derive_seed(seed, fold, 0),
+            f"fold {fold}'s 75/25 tuning split, of the outer-train rows that "
+            f"--folds={protocol.k_folds} leaves")
+        outer.append((train, np.flatnonzero(folds == fold)))
+        tuning.append((train[inner != 0], train[inner == 0]))
+    fit_seeds = [_derive_seed(seed, fold, 1) for fold in range(protocol.k_folds)]
+    search_seeds = [_derive_seed(seed, fold, 2) for fold in range(protocol.k_folds)]
     n_trials, space = protocol.n_trials, method.space
+
+    def held_out_auc(fold, params, fit_rows, eval_rows):
+        return _held_out_auc(method, params, fit_seeds[fold],
+                             X[fit_rows], X[eval_rows], y[eval_rows])
 
     def trial(unit):
         fold, t = divmod(unit, n_trials)
-        return outer[fold].objective(_trial_params(space, outer[fold].search_seed, t))
-
-    def refit(fold):
-        model, scaler = outer[fold].refit(bests[fold])
-        test = folds == fold
-        X_test = apply_standardizer(scaler, dataset.X[test])
-        return roc_auc(plo_score(model, X_test), dataset.y[test])
+        return held_out_auc(fold, _trial_params(space, search_seeds[fold], t), *tuning[fold])
 
     # random_search draws the same params for trial t as the unit did and
     # takes exactly n_trials outcomes per fold, fold-major as _map returns
     # them, so each fold's objective just hands back the next outcome.
     outcomes = iter(_map(trial, protocol.k_folds * n_trials))
-    searches = [outer_fold.search(n_trials, lambda params: _raised(next(outcomes)))
-                for outer_fold in outer]
+    searches = []
+    for fold in range(protocol.k_folds):
+        try:
+            searches.append(random_search(space, n_trials, search_seeds[fold],
+                                          lambda params: _raised(next(outcomes))))
+        except ValueError as exc:
+            raise ValueError(f"fold {fold}: {exc}") from exc
     bests = [best for best, _ in searches]
-    aucs = [_raised(auc) for auc in _map(refit, protocol.k_folds)]
+    aucs = [_raised(auc) for auc in _map(
+        lambda fold: held_out_auc(fold, bests[fold], *outer[fold]), protocol.k_folds)]
 
     return ExperimentReport(
         dataset=dataset.name,

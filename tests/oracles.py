@@ -13,8 +13,6 @@ The elementwise losses, whose row maxima the score's one-pass row
 maximum must equal bit for bit, and the scalar kernel and per-direction
 losses at the end are the textbook definitions the vectorized kernel and
 score are checked against; none of them calls the code it checks.
-fit_fold is the serial fold loop that evaluate_method's units replaced,
-composed from the same per-fold pieces.
 """
 
 from dataclasses import dataclass
@@ -23,7 +21,6 @@ import numpy as np
 from scipy.stats import rankdata
 
 from lkplo.clustering import MAX_ITER, N_INIT, SHIFT_TOL
-from lkplo.evaluation import _OuterFold
 from lkplo.kernel_feature import (
     ABS_EIG_FLOOR,
     REL_EIG_FLOOR,
@@ -401,11 +398,3 @@ def local_score(model, j, f):
             per_dir.append(svm_like_loss(st.direction, f_prime, st, model.loss.c))
     return max(per_dir)
 
-
-def fit_fold(dataset, train_idx, method, protocol, fold):
-    """Tune and refit one outer fold serially, in this process. Returns
-    (the model fitted on the full outer-train split, the standardizer
-    fitted on it, best params, trial log)."""
-    outer = _OuterFold(dataset, train_idx, method, protocol, fold)
-    best, trials = outer.search(protocol.n_trials, outer.objective)
-    return (*outer.refit(best), best, trials)

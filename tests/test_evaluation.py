@@ -13,7 +13,7 @@ import oracles
 
 from lkplo import evaluation
 from lkplo.clustering import InvalidKError
-from lkplo.data import Dataset, gen_three_gaussians
+from lkplo.data import Dataset, gen_moons, gen_three_gaussians
 from lkplo.evaluation import (
     METHOD_TABLE,
     METHODS,
@@ -302,6 +302,36 @@ def label_coded_dataset(seed, n=60):
     return Dataset("coded", X, y)
 
 
+def fold_fits(dataset, method, protocol):
+    """Each fold's (fits as (rows, config) pairs in call order, best params)
+    from evaluate_method on one usable CPU, so that every fit runs, and is
+    recorded, in this process."""
+    fits, fit = [], evaluation.plo_fit
+
+    def recording_fit(X, config):
+        fits.append((X.copy(), config))
+        return fit(X, config)
+
+    with pytest.MonkeyPatch.context() as patch:
+        set_usable_cpus(patch, 1)
+        patch.setattr(evaluation, "plo_fit", recording_fit)
+        report = evaluate_method(dataset, method, protocol)
+    seeds = [_derive_seed(protocol.seed, fold, 1) for fold in range(protocol.k_folds)]
+    return [([(X, config) for X, config in fits if config.seed == fold_seed], best)
+            for fold_seed, best in zip(seeds, report.fold_params)]
+
+
+def assert_same_fits(a, b, n_fits):
+    """a and b, each one fold's entry of fold_fits, hold the same n_fits
+    fits and the same best params."""
+    (fits_a, best_a), (fits_b, best_b) = a, b
+    assert len(fits_a) == len(fits_b) == n_fits
+    for (X_a, config_a), (X_b, config_b) in zip(fits_a, fits_b):
+        assert np.array_equal(X_a, X_b)
+        assert config_a == config_b
+    assert best_a == best_b
+
+
 class TestEvaluateMethod:
     def test_constant_scorer_gives_half(self, monkeypatch):
         stub_detector(monkeypatch, lambda X: np.zeros(len(X)))
@@ -334,23 +364,19 @@ class TestEvaluateMethod:
         assert report.std == pytest.approx(aucs.std())
 
     def test_no_leakage_from_test_rows(self):
-        """Perturbing held-out rows must not change what the fold fits."""
+        """Perturbing a fold's held-out rows must not change what the fold
+        fits, in its search trials or in its refit, nor what it picks."""
         ds = label_coded_dataset(3)
         protocol = Protocol(n_trials=2)
-        folds = stratified_kfold(ds.y, protocol.k_folds, protocol.seed)
-        train_idx = np.flatnonzero(folds != 0)
         method = METHODS["lkplo-svm"]()
-
-        _, scaler_a, best_a, _ = oracles.fit_fold(ds, train_idx, method, protocol, 0)
-        perturbed = Dataset(
-            ds.name, ds.X.copy(), ds.y
-        )
-        perturbed.X[folds == 0] += 100.0
-        _, scaler_b, best_b, _ = oracles.fit_fold(perturbed, train_idx, method, protocol, 0)
-
-        np.testing.assert_array_equal(scaler_a.means, scaler_b.means)
-        np.testing.assert_array_equal(scaler_a.stds, scaler_b.stds)
-        assert best_a == best_b
+        folds = stratified_kfold(ds.y, protocol.k_folds, protocol.seed)
+        unperturbed = fold_fits(ds, method, protocol)
+        for fold in range(protocol.k_folds):
+            perturbed = Dataset(ds.name, ds.X.copy(), ds.y)
+            perturbed.X[folds == fold] += 100.0
+            assert_same_fits(unperturbed[fold],
+                             fold_fits(perturbed, method, protocol)[fold],
+                             protocol.n_trials + 1)
 
     def test_fold_with_every_trial_failed_raises(self, monkeypatch):
         # Without the check the search returned trial 0's parameters and
@@ -394,6 +420,30 @@ class TestEvaluateMethod:
         with pytest.raises(IndexError):
             evaluate_method(label_coded_dataset(7), METHODS["lkplo-rz"](),
                             Protocol(n_trials=2))
+
+    @pytest.mark.parametrize("inlier, outlier, bad", [(-1, 1, "-1"), (0, 2, "2"),
+                                                      (0.0, 0.5, "0.5")])
+    def test_label_outside_0_1_named_before_any_split_or_fit(self, monkeypatch, inlier,
+                                                              outlier, bad):
+        # The label check ran in roc_auc, after every search trial's fit.
+        def called(*args):
+            pytest.fail("evaluate_method split or fit rows before checking the labels")
+
+        monkeypatch.setattr(evaluation, "stratified_kfold", called)
+        monkeypatch.setattr(evaluation, "plo_fit", called)
+        ds = gen_moons(0)
+        ds = Dataset(ds.name, ds.X, np.where(ds.y == 1, outlier, inlier))
+        with pytest.raises(ValueError, match=f"^dataset 'moons' has label {bad}; "
+                           r"evaluation needs 0 \(inlier\) or 1 \(outlier\)$"):
+            evaluate_method(ds, METHODS["lkplo-svm"](), Protocol(n_trials=10))
+
+    def test_bool_labels_report_as_int_labels(self, monkeypatch):
+        stub_detector(monkeypatch, lambda X: X[:, 0])
+        ds = label_coded_dataset(11)
+        as_bool = Dataset(ds.name, ds.X, ds.y.astype(bool))
+        protocol = Protocol(n_trials=2)
+        assert (evaluate_method(as_bool, METHODS["plo"](), protocol)
+                == evaluate_method(ds, METHODS["plo"](), protocol))
 
     def test_propagates_stratification_error(self):
         rng = np.random.default_rng(4)

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.stats import special_ortho_group
 
 import oracles
 from lkplo.clustering import InvalidKError, assign_nearest
-from lkplo.data import gen_three_gaussians
+from lkplo.data import SYNTHETIC_GENERATORS, gen_three_gaussians
+from lkplo.evaluation import roc_auc
 from lkplo.kernel_feature import (ARPACK_MIN_N, DegenerateKernelError, KernelParams,
                                   _cross_kernel, fit_kpca, transform)
 from lkplo.plo import (
@@ -408,6 +410,27 @@ class TestScaleInvariance:
             if loss.kind == "svm_like":
                 want *= s
         assert np.array_equal(got, want)
+
+
+class TestRotationInvariance:
+    """A rotation R keeps every distance, so every RBF kernel value up to
+    rounding: kplo and lkplo fitted on the rotated rows score them as they
+    score the rows, to rounding, and rank them alike. plo is left out: it
+    projects the rows themselves onto basis directions, which R turns."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("name", sorted(SYNTHETIC_GENERATORS))
+    def test_rotated_rows_score_alike(self, name, seed):
+        ds = SYNTHETIC_GENERATORS[name](seed)
+        rotation = special_ortho_group.rvs(ds.X.shape[1], random_state=seed)
+        for variant in ("kplo", "lkplo"):
+            for loss in (LossSpec("robust_z"), LossSpec("svm_like", 2.0)):
+                config = FitConfig(variant=variant, loss=loss, gamma=0.5, q=20, k=10,
+                                   seed=seed)
+                want = score(fit(ds.X, config), ds.X)
+                got = score(fit(ds.X @ rotation.T, config), ds.X @ rotation.T)
+                np.testing.assert_allclose(got, want, rtol=1e-8)
+                assert roc_auc(got, ds.y) == roc_auc(want, ds.y)
 
 
 class TestScore:
