@@ -10,9 +10,6 @@ harness, synthetic dataset generators, and a CLI.
 from .clustering import InvalidKError, assign_nearest, kmeans_fit
 from .data import (
     Dataset,
-    Standardizer,
-    apply_standardizer,
-    fit_standardizer,
     gen_inside_outside,
     gen_moons,
     gen_three_gaussians,

@@ -24,44 +24,47 @@ def load_csv(path, name=None) -> Dataset:
     """Parse a dataset CSV (UTF-8, with or without a BOM): header row, a
     mandatory 'label' column in {0, 1}, all other columns numeric
     features (header order preserved)."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise CsvFormatError(f"{path}: empty file")
-        if "label" not in header:
-            raise CsvFormatError(f"{path}: no 'label' column in header {header}")
-        if header.count("label") > 1:
-            raise CsvFormatError(f"{path}: column 'label' repeats in header {header}")
-        if len(header) == 1:
-            raise CsvFormatError(f"{path}: no feature column in header {header}")
-        label_col = header.index("label")
-        feat_cols = [i for i in range(len(header)) if i != label_col]
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise CsvFormatError(f"{path}: empty file")
+            if "label" not in header:
+                raise CsvFormatError(f"{path}: no 'label' column in header {header}")
+            if header.count("label") > 1:
+                raise CsvFormatError(f"{path}: column 'label' repeats in header {header}")
+            if len(header) == 1:
+                raise CsvFormatError(f"{path}: no feature column in header {header}")
+            label_col = header.index("label")
+            feat_cols = [i for i in range(len(header)) if i != label_col]
 
-        rows, labels = [], []
-        for rownum, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise CsvFormatError(
-                    f"{path}: row {rownum} has {len(row)} cells, expected {len(header)}"
-                )
-            feats = []
-            for i in feat_cols:
-                try:
-                    v = float(row[i])
-                except ValueError:
-                    v = math.nan
-                if not math.isfinite(v):
+            rows, labels = [], []
+            for rownum, row in enumerate(reader, start=2):
+                if len(row) != len(header):
                     raise CsvFormatError(
-                        f"{path}: non-numeric cell {row[i]!r} at row {rownum}, "
-                        f"column {header[i]!r}"
+                        f"{path}: row {rownum} has {len(row)} cells, expected {len(header)}"
                     )
-                feats.append(v)
-            if row[label_col] not in ("0", "1"):
-                raise CsvFormatError(
-                    f"{path}: label {row[label_col]!r} at row {rownum} not in {{0, 1}}"
-                )
-            rows.append(feats)
-            labels.append(int(row[label_col]))
+                feats = []
+                for i in feat_cols:
+                    try:
+                        v = float(row[i])
+                    except ValueError:
+                        v = math.nan
+                    if not math.isfinite(v):
+                        raise CsvFormatError(
+                            f"{path}: non-numeric cell {row[i]!r} at row {rownum}, "
+                            f"column {header[i]!r}"
+                        )
+                    feats.append(v)
+                if row[label_col] not in ("0", "1"):
+                    raise CsvFormatError(
+                        f"{path}: label {row[label_col]!r} at row {rownum} not in {{0, 1}}"
+                    )
+                rows.append(feats)
+                labels.append(int(row[label_col]))
+    except UnicodeDecodeError:
+        raise CsvFormatError(f"{path}: not UTF-8 text") from None
 
     if not rows:
         raise CsvFormatError(f"{path}: no data rows")
@@ -87,21 +90,16 @@ def save_csv(dataset: Dataset, path):
               (row + [int(label)] for row, label in rows))
 
 
-@dataclass
-class Standardizer:
-    means: np.ndarray
-    stds: np.ndarray  # divisor; zero-variance features use 1
-
-
-def fit_standardizer(X_train) -> Standardizer:
+def fit_standardizer(X_train):
+    """(means, scales) of X_train's columns, each scale its std or 1."""
     X_train = np.asarray(X_train, dtype=float)
-    means = X_train.mean(axis=0)
     stds = X_train.std(axis=0)
-    return Standardizer(means=means, stds=np.where(stds == 0, 1.0, stds))
+    return X_train.mean(axis=0), np.where(stds == 0, 1.0, stds)
 
 
-def apply_standardizer(standardizer: Standardizer, X) -> np.ndarray:
-    return (np.asarray(X, dtype=float) - standardizer.means) / standardizer.stds
+def apply_standardizer(standardizer, X) -> np.ndarray:
+    means, scales = standardizer
+    return (np.asarray(X, dtype=float) - means) / scales
 
 
 # --- synthetic generators ----------------------------------------------------

@@ -285,21 +285,18 @@ def _map(unit: Callable, n_units: int) -> list:
     left, so a slow unit holds up one process while the others go on.
     The workers inherit unit, which may be a closure, and each sends its
     outcomes back over its own pipe. Outcomes are kept by index, so they
-    do not depend on which process ran what.
+    do not depend on which process ran what. A worker, like a daemonic
+    pool's, counts one usable CPU, so its units thread and fork nothing.
     """
     n_workers = min(n_units, usable_cpus()) - 1
     counter, workers = None, []
     if n_workers > 0:
-        # Imported here so that `lkplo score` never loads it. A daemonic
-        # process may not have children; fork is safe where the OS has an
-        # affinity call (Linux), and elsewhere usable_cpus() is 1.
+        # Imported here so that `lkplo score` never loads it. Fork is safe
+        # where the OS has an affinity call; elsewhere usable_cpus() is 1.
         import multiprocessing
 
-        if multiprocessing.current_process().daemon:
-            n_workers = 0
-        else:
-            context = multiprocessing.get_context("fork")
-            counter = context.Value("i", 0)
+        context = multiprocessing.get_context("fork")
+        counter = context.Value("i", 0)
     try:
         for _ in range(n_workers):
             receive, send = context.Pipe(duplex=False)

@@ -18,6 +18,7 @@ fit computes A_c and the offset once, and the model keeps only them.
 """
 
 import os
+import sys
 import threading
 from dataclasses import dataclass
 
@@ -69,9 +70,11 @@ def per_block(width: int) -> int:
 
 
 def usable_cpus() -> int:
-    """CPUs this process may run on: the size of its affinity mask, or 1
-    where the OS has no affinity call."""
-    if not hasattr(os, "sched_getaffinity"):
+    """CPUs this process may use, the one rule for run_blocks and _map:
+    the size of its affinity mask, or 1 where the OS has no affinity call
+    or multiprocessing started it (a protocol worker, say)."""
+    mp = sys.modules.get("multiprocessing")  # imports nothing
+    if not hasattr(os, "sched_getaffinity") or (mp and mp.parent_process()):
         return 1
     return len(os.sched_getaffinity(0))
 
@@ -81,12 +84,12 @@ def run_blocks(n_rows: int, width: int, work):
     range(n_rows), rows = per_block(width), on min(usable CPUs, full
     BLOCK_BYTES blocks in n_rows * width doubles) threads, the caller
     included, which pull the next slab from one shared iterator; numpy's
-    large loops and BLAS release the GIL. Under two full blocks, as in
-    every fit of the tuned protocol (whose worker processes already use
-    every CPU), no thread starts. work must write its results where its
-    caller reads them by slab, so they do not depend on which thread ran
-    it. After a slab fails no further slab starts, and once every thread
-    is joined the lowest failed slab's exception is raised.
+    large loops and BLAS release the GIL. Under two full blocks, and in
+    a protocol worker, which counts one usable CPU, no thread starts.
+    work must write its results where its caller reads them by slab, so
+    they do not depend on which thread ran it. After a slab fails no
+    further slab starts, and once every thread is joined the lowest
+    failed slab's exception is raised.
     """
     rows = per_block(width)
     n_threads = min(usable_cpus(), 8 * n_rows * width // BLOCK_BYTES)

@@ -456,5 +456,9 @@ def save_model(model: LkploModel, path):
 
 
 def load_model(path) -> LkploModel:
-    with open(path, encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            d = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"model file {path} is not UTF-8 JSON: {exc}") from None
+    return model_from_dict(d)

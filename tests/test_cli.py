@@ -25,6 +25,10 @@ from test_evaluation import set_usable_cpus
 from test_vectorized import block_rows
 
 
+# 0xe8 opens a three-byte UTF-8 sequence, which 0x00 cannot continue.
+NOT_UTF8 = b"\xe8\x00" + np.random.default_rng(22).bytes(254)
+
+
 @pytest.fixture
 def train_csv(tmp_path):
     path = tmp_path / "train.csv"
@@ -274,6 +278,37 @@ class TestScoreCommand:
         huge.write_text("x0,x1,label\n0,0,0\n1e308,1e308,0\n")
         assert run("score", "--model", model_path, "--data", huge, "--out", out) == 1
         assert "input row 1 is too large" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad, detail", [
+        ("csv", "Expecting value: line 1 column 1 (char 0)"),
+        ("binary", "'utf-8' codec can't decode byte 0xe8 in position 0"),
+        ("truncated", "line "),
+    ], ids=["csv", "binary", "truncated"])
+    def test_model_file_not_utf8_json_named(self, tmp_path, train_csv, capsys, bad, detail):
+        model_path, out = tmp_path / "m.json", tmp_path / "s.csv"
+        assert run("fit", "--data", train_csv, "--out", model_path,
+                   "--variant", "plo") == 0
+        text = model_path.read_text()
+        if bad == "csv":
+            model_path = train_csv
+        elif bad == "binary":
+            model_path.write_bytes(NOT_UTF8)
+        else:
+            model_path.write_text(text[:len(text) // 2])
+        assert run("score", "--model", model_path, "--data", train_csv, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert f"error: ValueError: model file {model_path} is not UTF-8 JSON: " in err
+        assert detail in err
+        assert not out.exists()
+
+    def test_data_file_not_utf8_named(self, tmp_path, train_csv, capsys):
+        model_path, data, out = tmp_path / "m.json", tmp_path / "rows.csv", tmp_path / "s.csv"
+        assert run("fit", "--data", train_csv, "--out", model_path,
+                   "--variant", "plo") == 0
+        data.write_bytes(NOT_UTF8)
+        assert run("score", "--model", model_path, "--data", data, "--out", out) == 1
+        assert f"error: CsvFormatError: {data}: not UTF-8 text" in capsys.readouterr().err
         assert not out.exists()
 
     def test_score_process_never_loads_scipy(self, tmp_path, train_csv):

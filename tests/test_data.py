@@ -121,7 +121,7 @@ class TestStandardizer:
         s = fit_standardizer(X)
         out = apply_standardizer(s, X)
         np.testing.assert_array_equal(out[:, 0], 0.0)
-        assert s.stds[0] == 1.0
+        assert s[1][0] == 1.0
 
     def test_train_statistics_recovered(self):
         rng = np.random.default_rng(1)

@@ -2,6 +2,7 @@ import json
 import multiprocessing
 import os
 import signal
+import threading
 import time
 
 import numpy as np
@@ -27,8 +28,9 @@ from lkplo.evaluation import (
     stratified_kfold,
     write_reports,
 )
-from lkplo.kernel_feature import DegenerateKernelError
+from lkplo.kernel_feature import DegenerateKernelError, usable_cpus
 from lkplo.plo import DegenerateDirectionsError, FitConfig, LossSpec, _derive_seed
+from lkplo.plo import fit as plo_fit
 
 
 class TestStratifiedKfold:
@@ -701,6 +703,46 @@ class TestFoldsAcrossCpus:
         ds, method = label_coded_dataset(12), METHODS["lkplo-svm"]()
         protocol = Protocol(n_trials=2)
         with multiprocessing.get_context("fork").Pool(1) as pool:
+            assert pool.apply_async(usable_cpus).get(timeout=60) == 1
             job = pool.apply_async(evaluate_method, (ds, method, protocol))
             in_daemon = job.get(timeout=120)
         assert in_daemon == evaluate_method(ds, method, protocol)
+
+    def test_worker_counts_one_usable_cpu(self, monkeypatch):
+        unit = split_units(monkeypatch, lambda i, in_worker: (in_worker, usable_cpus()))
+        assert sorted(map_units(unit, 2)) == [(False, 2), (True, 1)]
+
+    def test_fit_in_a_worker_starts_no_thread(self, monkeypatch):
+        # A 700-row Gram matrix is three full blocks, so on two CPUs the
+        # caller's fit runs its slabs on two threads; the worker's on one.
+        started, start = [], threading.Thread.start
+
+        def counted_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted_start)
+        X = np.random.default_rng(17).standard_normal((700, 3))
+        config = FitConfig("lkplo", LossSpec("svm_like", 2.0), gamma=0.5, q=10, k=5, seed=3)
+
+        def body(i, in_worker):
+            before = len(started)
+            plo_fit(X, config)
+            return in_worker, len(started) - before
+
+        (caller, in_caller), (worker, in_worker) = sorted(
+            map_units(split_units(monkeypatch, body), 2))
+        assert (caller, worker) == (False, True)
+        assert in_caller >= 1
+        assert in_worker == 0
+
+    def test_refits_past_two_full_blocks_same_at_any_cpu_count(self, monkeypatch):
+        # 800 rows, so each refit fits 640 outer-train rows: its Gram and
+        # centering are three full blocks, threaded only in the caller.
+        ds, method = label_coded_dataset(16, n=800), METHODS["kplo"]()
+        protocol = Protocol(n_trials=1)
+        reports = []
+        for cpus in (1, 2):
+            set_usable_cpus(monkeypatch, cpus)
+            reports.append(evaluate_method(ds, method, protocol))
+        assert reports[0] == reports[1]
