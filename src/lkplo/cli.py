@@ -1,4 +1,4 @@
-"""Command-line surface: fit/score a detector, run the benchmark
+"""Command-line surface: fit/score/inspect a detector, run the benchmark
 protocol, run the ablation ladder, generate synthetic datasets, and
 export decision-boundary score grids.
 
@@ -77,6 +77,26 @@ def cmd_score(args):
     scores = plo_mod.score(model, dataset.X)
     data_mod.write_csv(args.out, ["row_index", "score"], enumerate(scores.tolist()))
     print(f"scored {len(scores)} rows -> {args.out}")
+    return 0
+
+
+def cmd_inspect(args):
+    model = plo_mod.load_model(args.model)
+    lines = {"format": plo_mod.MODEL_FORMAT, "variant": model.variant,
+             "loss": model.loss.kind, "c": model.loss.c, "d": model.d}
+    if model.kpca is not None:
+        lines.update(N=len(model.kpca.train_points), gamma=model.kpca.params.gamma,
+                     q=model.kpca.q, eigenvalues=model.kpca.eigenvalues.tolist())
+    mads = np.concatenate(model.mads)
+    at_floor = np.count_nonzero(mads <= plo_mod.MAD_FLOOR)
+    lines.update(k=len(model.centroids), sizes=model.sizes.tolist(),
+                 directions=[len(u) for u in model.directions],
+                 mads_at_floor=f"{at_floor} of {len(mads)}")
+    for key, value in lines.items():
+        if isinstance(value, list):
+            value = " ".join(map(str, value))
+        if value is not None:  # c, for a robust_z loss
+            print(f"{key}: {value}")
     return 0
 
 
@@ -176,6 +196,11 @@ def build_parser():
     p.add_argument("--out", required=True,
                    help="scores CSV (columns row_index,score)")
     p.set_defaults(func=cmd_score)
+
+    p = sub.add_parser("inspect", parents=[CONFIG],
+                       help="print what a saved model holds, as key: value lines")
+    p.add_argument("model", help="model file (JSON)")
+    p.set_defaults(func=cmd_inspect)
 
     p = sub.add_parser(
         "benchmark", parents=[protocol],

@@ -10,8 +10,10 @@ features again. Fitting a cluster costs its draws, one norm pass over
 its candidates and two row-wise sorts, and gives np.median's bits.
 """
 
+import base64
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -26,7 +28,7 @@ MAD_CONSISTENCY = 1.4826
 # floor keeps the direction set identical across points.
 MAD_FLOOR = 1e-9
 DIRECTION_NORM_FLOOR = 1e-12
-MODEL_FORMAT = "lkplo-model-v3"
+MODEL_FORMAT = "lkplo-model-v4"
 
 VARIANTS = ("plo", "kplo", "lkplo")
 LOSS_KINDS = ("robust_z", "svm_like")
@@ -302,11 +304,12 @@ def score(model: LkploModel, Xnew) -> np.ndarray:
     return out
 
 
-# --- serialization (format "lkplo-model-v3") ---------------------------------
+# --- serialization (format "lkplo-model-v4") ---------------------------------
 
 
 def _arr(a):
-    return np.asarray(a, dtype=float).tolist()
+    """a as the base64 of its little-endian float64 bytes, in C order."""
+    return base64.b64encode(np.asarray(a, dtype="<f8").tobytes()).decode("ascii")
 
 
 def model_to_dict(model: LkploModel) -> dict:
@@ -321,7 +324,7 @@ def model_to_dict(model: LkploModel) -> dict:
         "clusters": {
             "k": len(model.centroids),
             "centroids": _arr(model.centroids),
-            "sizes": model.sizes.tolist(),
+            "sizes": _arr(model.sizes),
         },
         "per_cluster": [
             {"directions": _arr(u), "medians": _arr(m), "mads": _arr(s)}
@@ -355,25 +358,29 @@ def _field(parent, path):
 
 
 def _array(parent, path, shape=()):
-    """_field(parent, path) as a finite float array of shape (an entry of
-    None matches any length), or a float when shape is (); else a
-    ValueError naming path. Strings and bools are refused, which
-    dtype=float would read."""
+    """_field(parent, path) as a finite float, or for a shape as the finite
+    array _arr stored (None: any count >= 1); else a ValueError naming path."""
     value = _field(parent, path)
+    if not shape:  # a JSON number; a bool, a string or an int beyond float is not
+        if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+            raise ValueError(f"model field {path} is not a finite JSON number")
+        return float(value)
+    if type(value) is not str:
+        raise ValueError(f"model field {path} is a JSON {type(value).__name__}, "
+                         "expected a base64 string")
     try:
-        a = np.asarray(value)
-        if a.dtype == object and all(type(x) in (int, float) for x in a.flat):
-            a = a.astype(float)  # numbers, one an int beyond int64
-    except (TypeError, ValueError, OverflowError):  # ragged, or an int beyond float
-        a = np.asarray(None)
-    if a.dtype.kind not in "iuf":
-        raise ValueError(f"model field {path} is not a number or a regular array")
-    if a.ndim != len(shape) or not all(w in (None, g) for g, w in zip(a.shape, shape)):
-        want = str(shape).replace("None", "*")
-        raise ValueError(f"model field {path} has shape {a.shape}, expected {want}")
+        raw = base64.b64decode(value, validate=True)
+    except ValueError as exc:  # binascii.Error
+        raise ValueError(f"model field {path} is not base64: {exc}") from None
+    width = 8 * math.prod(w for w in shape if w is not None)
+    rows = len(raw) // width if None in shape else 1
+    if len(raw) != rows * width or rows < 1:
+        raise ValueError(f"model field {path} holds {len(raw)} bytes, expected 8 per "
+                         f"value of a {str(shape).replace('None', '*')} array")
+    a = np.frombuffer(raw, "<f8").astype(float)  # a fresh aligned copy, as v3's
     if not np.isfinite(a).all():
         raise ValueError(f"model field {path} has a non-finite value")
-    return a.astype(float, copy=False) if shape else float(a)
+    return a.reshape([rows if w is None else w for w in shape])
 
 
 def _built(path, make, *args):
@@ -416,7 +423,6 @@ def model_from_dict(d) -> LkploModel:
     kpca = None
     if kd is not None:
         train_points = _array(kd, "kpca.train_points", (None, dim))
-        n = len(train_points)
         q = _count(kd, "kpca.q")
         eigenvalues = _array(kd, "kpca.eigenvalues", (q,))
         if not np.all(eigenvalues > 0):
@@ -426,7 +432,7 @@ def model_from_dict(d) -> LkploModel:
             params=_built("kpca.gamma", KernelParams, _array(kd, "kpca.gamma")),
             q=q,
             eigenvalues=eigenvalues,
-            projection=_array(kd, "kpca.projection", (n, q)),
+            projection=_array(kd, "kpca.projection", (len(train_points), q)),
             offset=_array(kd, "kpca.offset", (q,)),
         )
     cd = _field(d, "clusters")

@@ -1,3 +1,4 @@
+import base64
 import csv
 import json
 import os
@@ -13,9 +14,11 @@ import lkplo
 from lkplo.cli import main
 from lkplo.data import Dataset, gen_moons, gen_three_gaussians, load_csv, save_csv
 from lkplo.plo import (
+    MAD_FLOOR,
     DirectionConfig,
     FitConfig,
     LossSpec,
+    _arr,
     fit,
     load_model,
     model_to_dict,
@@ -352,7 +355,9 @@ class TestScoreCommand:
         X = np.random.default_rng(21).standard_normal((30, 2))
         cfg = FitConfig("lkplo", LossSpec("svm_like", 2.0), gamma=0.5, q=4, k=3, seed=2)
         d = model_to_dict(fit(X, cfg))
-        d["clusters"]["sizes"][0] = 1e300
+        sizes = np.frombuffer(base64.b64decode(d["clusters"]["sizes"]), "<f8").copy()
+        sizes[0] = 1e300
+        d["clusters"]["sizes"] = _arr(sizes)
         model_path, data_path = tmp_path / "m.json", tmp_path / "rows.csv"
         model_path.write_text(json.dumps(d))
         save_csv(Dataset("rows", X, np.zeros(len(X), dtype=int)), data_path)
@@ -360,6 +365,52 @@ class TestScoreCommand:
         assert run("score", "--model", model_path, "--data", data_path, "--out", out) == 1
         assert "model field clusters.sizes " in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestInspectCommand:
+    def test_lkplo_model(self, tmp_path, train_csv, capsys):
+        # One key: value line per fact of the fitted LkploModel, and no
+        # file written.
+        model_path = tmp_path / "m.json"
+        assert run("fit", "--data", train_csv, "--out", model_path, "--variant", "lkplo",
+                   "--gamma", "0.5", "--q", "6", "--k", "3", "--seed", "9") == 0
+        capsys.readouterr()
+        assert run("inspect", model_path) == 0
+        lines = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+        X = load_csv(train_csv).X
+        model = fit(X, FitConfig("lkplo", LossSpec("svm_like", 2.0), gamma=0.5, q=6, k=3,
+                                 seed=9))
+        mads = np.concatenate(model.mads)
+        assert lines == {
+            "format": "lkplo-model-v4", "variant": "lkplo", "loss": "svm_like",
+            "c": "2.0", "d": "2", "N": str(len(X)), "gamma": "0.5",
+            "q": str(model.kpca.q),
+            "eigenvalues": " ".join(map(repr, model.kpca.eigenvalues.tolist())),
+            "k": "3", "sizes": " ".join(map(str, model.sizes.tolist())),
+            "directions": " ".join(str(len(u)) for u in model.directions),
+            "mads_at_floor": f"{np.count_nonzero(mads <= MAD_FLOOR)} of {len(mads)}"}
+        assert sum(map(int, lines["sizes"].split())) == len(X)
+        assert sorted(os.listdir(tmp_path)) == ["m.json", "train.csv"]
+
+    def test_plo_model_prints_no_kernel_or_margin(self, tmp_path, train_csv, capsys):
+        model_path = tmp_path / "m.json"
+        assert run("fit", "--data", train_csv, "--out", model_path, "--variant", "plo",
+                   "--loss", "robust_z") == 0
+        capsys.readouterr()
+        assert run("inspect", model_path) == 0
+        keys = [line.split(": ")[0] for line in capsys.readouterr().out.splitlines()]
+        assert keys == ["format", "variant", "loss", "d", "k", "sizes", "directions",
+                        "mads_at_floor"]
+
+    def test_malformed_model_fails_as_score_does(self, tmp_path, train_csv, capsys):
+        # inspect loads through load_model, so it fails as score does.
+        assert run("inspect", train_csv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ValueError: model file {train_csv} is not UTF-8 JSON")
+        assert run("score", "--model", train_csv, "--data", train_csv,
+                   "--out", tmp_path / "s.csv") == 1
+        assert capsys.readouterr().err == err
+        assert sorted(os.listdir(tmp_path)) == ["train.csv"]
 
 
 class TestBenchmarkCommand:

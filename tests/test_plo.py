@@ -1,3 +1,4 @@
+import base64
 import json
 import math
 import re
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.stats import special_ortho_group
 
 import oracles
@@ -23,6 +25,8 @@ from lkplo.plo import (
     FitConfig,
     LkploModel,
     LossSpec,
+    _arr,
+    _array,
     _max_loss,
     fit,
     gen_directions,
@@ -599,66 +603,106 @@ class TestSerialization:
         rng = np.random.default_rng(20)
         model = fit(rng.standard_normal((8, 2)), rz_config(seed=0))
         d = model_to_dict(model)
-        assert d["format"] == "lkplo-model-v3"
-        for tag in ("something-else", "lkplo-model-v1", "lkplo-model-v2"):
+        assert d["format"] == "lkplo-model-v4"
+        for tag in ("something-else", "lkplo-model-v1", "lkplo-model-v2",
+                    "lkplo-model-v3"):
             d["format"] = tag
             with pytest.raises(ValueError, match=f"unsupported model format '{tag}'"):
                 model_from_dict(d)
         with pytest.raises(ValueError, match="unsupported model format"):
             model_from_dict([])
 
+    @given(arrays(np.float64, array_shapes(min_dims=1, max_dims=2),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)))
+    @example(np.array([-0.0, 5e-324, -2.2250738585072014e-308, np.finfo(float).max]))
+    @settings(deadline=None)
+    def test_arrays_keep_every_bit(self, a):
+        # Any finite double, -0.0 and subnormals included, reads back as
+        # the same bits, in C order whatever the array's own order, both
+        # at its full shape and with its row count read from the bytes.
+        for b in (a, a.T):
+            for shape in (b.shape, (None, *b.shape[1:])):
+                got = _array({"a": json.loads(json.dumps(_arr(b)))}, "a", shape)
+                assert got.shape == b.shape
+                assert got.tobytes() == np.ascontiguousarray(b).tobytes()
+
 
 def _drop_last(key):
     return lambda d: d.__setitem__(key, d[key][:-1])
 
 
+def _decoded(value):
+    """The float64 values of an array field, flat, as _arr wrote them."""
+    return np.frombuffer(base64.b64decode(value), "<f8").copy()
+
+
+def _edit(where, key, change, width=None):
+    """A corruption that decodes the array field where(d)[key] of a model
+    dict d, in rows of width when given, and stores change of it
+    re-encoded as _arr does."""
+    def corrupt(d):
+        a = _decoded(where(d)[key])
+        where(d)[key] = _arr(change(a if width is None else a.reshape(-1, width)))
+    return corrupt
+
+
+def _put(index, value):
+    def change(a):
+        a[index] = value
+        return a
+    return change
+
+
+Q, DIM = 4, 2  # the kept q and the input width of the fixture's model
+CLUSTERS, KPCA = (lambda d: d["clusters"]), (lambda d: d["kpca"])
+CLUSTER = [lambda d, j=j: d["per_cluster"][j] for j in range(2)]
+
 # (field named in the error, corruption of a fitted lkplo model's dict)
 CORRUPTIONS = [
-    ("clusters.centroids", lambda d: d["clusters"].update(
-        centroids=[c[:-1] for c in d["clusters"]["centroids"]])),
-    ("clusters.centroids", lambda d: _drop_last("centroids")(d["clusters"])),
-    ("clusters.sizes", lambda d: _drop_last("sizes")(d["clusters"])),
-    ("clusters.sizes", lambda d: d["clusters"]["sizes"].__setitem__(1, 0)),
+    ("clusters.centroids", _edit(CLUSTERS, "centroids", lambda a: a[:, :-1], Q)),
+    ("clusters.centroids", _edit(CLUSTERS, "centroids", lambda a: a[:-1], Q)),
+    ("clusters.sizes", _edit(CLUSTERS, "sizes", lambda a: a[:-1])),
+    ("clusters.sizes", _edit(CLUSTERS, "sizes", _put(1, 0.0))),
     ("per_cluster", _drop_last("per_cluster")),
-    ("clusters.centroids", lambda d: d["clusters"].update(
-        centroids=d["clusters"]["centroids"][0])),
+    ("clusters.centroids", _edit(CLUSTERS, "centroids", lambda a: a[0], Q)),
+    ("per_cluster[1].directions", _edit(CLUSTER[1], "directions", lambda a: a[:, :-1], Q)),
     ("per_cluster[1].directions", lambda d: d["per_cluster"][1].update(
-        directions=[u[:-1] for u in d["per_cluster"][1]["directions"]])),
-    ("per_cluster[1].directions", lambda d: d["per_cluster"][1].update(
-        directions=[], medians=[], mads=[])),
-    ("per_cluster[1].medians", lambda d: _drop_last("medians")(d["per_cluster"][1])),
-    ("per_cluster[1].mads", lambda d: _drop_last("mads")(d["per_cluster"][1])),
-    ("per_cluster[1].medians", lambda d: d["per_cluster"][1].update(
-        medians=[[m] for m in d["per_cluster"][1]["medians"]])),
-    ("kpca.train_points", lambda d: d["kpca"].update(
-        train_points=[x + [0.0] for x in d["kpca"]["train_points"]])),
-    ("kpca.projection", lambda d: _drop_last("projection")(d["kpca"])),
-    ("kpca.eigenvalues", lambda d: _drop_last("eigenvalues")(d["kpca"])),
-    ("kpca.eigenvalues", lambda d: d["kpca"]["eigenvalues"].__setitem__(-1, 0.0)),
-    ("kpca.offset", lambda d: _drop_last("offset")(d["kpca"])),
-    # json.load reads NaN and Infinity, so every number is checked for them.
-    ("per_cluster[0].mads", lambda d: d["per_cluster"][0]["mads"].__setitem__(0, math.nan)),
-    ("per_cluster[1].directions", lambda d: d["per_cluster"][1]["directions"][0]
-     .__setitem__(1, math.inf)),
-    ("clusters.centroids", lambda d: d["clusters"]["centroids"][2].__setitem__(0, -math.inf)),
-    ("kpca.projection", lambda d: d["kpca"]["projection"][3].__setitem__(0, math.nan)),
+        directions="", medians="", mads="")),
+    ("per_cluster[1].medians", _edit(CLUSTER[1], "medians", lambda a: a[:-1])),
+    ("per_cluster[1].mads", _edit(CLUSTER[1], "mads", lambda a: a[:-1])),
+    # v3's (D, 1) nesting has the bytes of (D,), so its v4 kin is (D, 2).
+    ("per_cluster[1].medians", _edit(CLUSTER[1], "medians",
+                                     lambda a: np.column_stack([a, a]))),
+    # Values that do not divide into rows of d; v3's kin was rows of d + 1.
+    ("kpca.train_points", _edit(KPCA, "train_points", lambda a: a[:-1])),
+    ("kpca.projection", _edit(KPCA, "projection", lambda a: a[:-1], Q)),
+    ("kpca.eigenvalues", _edit(KPCA, "eigenvalues", lambda a: a[:-1])),
+    ("kpca.eigenvalues", _edit(KPCA, "eigenvalues", _put(-1, 0.0))),
+    ("kpca.offset", _edit(KPCA, "offset", lambda a: a[:-1])),
+    # The bytes hold NaN and ±inf as any other double, so every value of
+    # every array is checked for them, and json.load reads NaN and
+    # Infinity as numbers.
+    ("per_cluster[0].mads", _edit(CLUSTER[0], "mads", _put(0, math.nan))),
+    ("per_cluster[1].directions", _edit(CLUSTER[1], "directions", _put((0, 1), math.inf), Q)),
+    ("clusters.centroids", _edit(CLUSTERS, "centroids", _put((2, 0), -math.inf), Q)),
+    ("kpca.projection", _edit(KPCA, "projection", _put((3, 0), math.nan), Q)),
     ("kpca.gamma", lambda d: d["kpca"].update(gamma=math.inf)),
-    ("kpca.offset", lambda d: d["kpca"]["offset"].__setitem__(0, math.nan)),
+    ("kpca.offset", _edit(KPCA, "offset", _put(0, math.nan))),
     ("loss.c", lambda d: d["loss"].update(c=math.nan)),
     ("variant", lambda d: d.update(variant="klpo")),
     ("kpca", lambda d: d.update(kpca=None)),
     ("kpca", lambda d: d.update(variant="plo")),
-    ("clusters.sizes", lambda d: d["clusters"]["sizes"].__setitem__(0, 2.5)),
+    ("clusters.sizes", _edit(CLUSTERS, "sizes", _put(0, 2.5))),
     # As an int, 1e300 wraps to -2**63 and every score of the cluster
     # comes out negative.
-    ("clusters.sizes", lambda d: d["clusters"]["sizes"].__setitem__(0, 1e300)),
+    ("clusters.sizes", _edit(CLUSTERS, "sizes", _put(0, 1e300))),
     # Counts are ints, named by their own field rather than by the first
     # array whose shape they set.
     ("clusters.k", lambda d: d["clusters"].update(k="3")),
     ("kpca.q", lambda d: d["kpca"].update(q=2.5)),
     ("kpca.q", lambda d: d["kpca"].update(q=4.0)),
     ("d", lambda d: d.update(d=True)),
-    ("clusters.centroids", lambda d: d["clusters"]["centroids"][0].append(0.0)),
+    ("clusters.centroids", _edit(CLUSTERS, "centroids", lambda a: np.append(a, 0.0))),
     ("kpca.gamma", lambda d: d["kpca"].update(gamma="0.5")),
     # Missing keys and values that are not objects, named by their path.
     ("loss", lambda d: d.pop("loss")),
@@ -667,8 +711,29 @@ CORRUPTIONS = [
     ("kpca", lambda d: d.update(kpca=[])),
     ("per_cluster[0]", lambda d: d["per_cluster"].__setitem__(0, [])),
     ("loss", lambda d: d.update(loss="svm")),
-    # An int beyond int64 is still a number: here a size beyond 2**53.
-    ("clusters.sizes", lambda d: d["clusters"]["sizes"].__setitem__(0, 10**30)),
+    # A size beyond 2**53, where a double no longer holds every integer.
+    ("clusters.sizes", _edit(CLUSTERS, "sizes", _put(0, 1e30))),
+    # The encoding itself: a v3-style list of numbers where the base64
+    # string is due, a character outside the base64 alphabet (which a
+    # lenient decoder would skip, reading the same 96 bytes), a byte count
+    # that is not whole doubles, a whole count of doubles that no row
+    # count fits, and no rows at all where any count >= 1 is read.
+    ("per_cluster[0].medians", lambda d: d["per_cluster"][0].update(
+        medians=_decoded(d["per_cluster"][0]["medians"]).tolist())),
+    ("clusters.centroids", lambda d: d["clusters"].update(
+        centroids=d["clusters"]["centroids"][:8] + "*" + d["clusters"]["centroids"][8:])),
+    ("per_cluster[0].directions", lambda d: d["per_cluster"][0].update(directions=(
+        base64.b64encode(base64.b64decode(d["per_cluster"][0]["directions"]) + bytes(4))
+        .decode()))),
+    ("per_cluster[0].directions", _edit(CLUSTER[0], "directions", lambda a: np.append(a, 0.5))),
+    ("kpca.train_points", lambda d: d["kpca"].update(train_points="")),
+    # A scalar stays a JSON number, and one beyond float is refused, as
+    # is a number given as a string (above).
+    ("kpca.gamma", lambda d: d["kpca"].update(gamma=10**400)),
+    # The file stores no row count, so 30 rows of d + 1 = 3 values read as
+    # 45 rows of 2, and the (30, q) projection after them is what disagrees.
+    ("kpca.projection", _edit(KPCA, "train_points",
+                              lambda a: np.column_stack([a, np.zeros(len(a))]), DIM)),
 ]
 
 
@@ -704,6 +769,29 @@ class TestModelValidation:
         with pytest.raises(ValueError) as err:
             model_from_dict(d)
         assert str(err.value) == f"model field {field} is invalid: {cause}"
+
+    @pytest.mark.parametrize("field,value,cause", [
+        ("clusters.centroids", [[0.0] * 4] * 3, "is a JSON list, expected a base64 string"),
+        ("clusters.centroids", "AAAA!AAAA", "is not base64: "),
+        ("clusters.centroids", base64.b64encode(bytes(95)).decode(),
+         "holds 95 bytes, expected 8 per value of a (3, 4) array"),
+        ("kpca.train_points", _arr(np.ones(61)),
+         "holds 488 bytes, expected 8 per value of a (*, 2) array"),
+        ("kpca.offset", _arr([0.0, -math.inf, 0.0, 0.0]), "has a non-finite value"),
+        ("kpca.gamma", 10**400, "is not a finite JSON number"),
+        ("kpca.gamma", True, "is not a finite JSON number"),
+    ], ids=["list", "not-base64", "not-whole-doubles", "no-row-count-fits",
+            "non-finite", "beyond-float", "bool"])
+    def test_encoding_error_names_the_check(self, model_dict, field, value, cause):
+        # The reader's checks, in the order it makes them: a base64
+        # string, that decodes, to whole doubles of the expected shape,
+        # every one finite; a scalar is a finite JSON number.
+        d = json.loads(json.dumps(model_dict))
+        parent, _, key = field.partition(".")
+        d[parent][key] = value
+        with pytest.raises(ValueError) as err:
+            model_from_dict(d)
+        assert str(err.value).startswith(f"model field {field} {cause}")
 
     def test_plo_centroid_width_is_d(self):
         rng = np.random.default_rng(22)
